@@ -38,6 +38,26 @@ inline float ReduceLanes(const float lanes[8]) {
          ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
 }
 
+/// AxpyRows restricted to columns [begin, end) of rows with stride
+/// `stride`: the reference loop, and the vector backends' column tail.
+void AxpyRowsColumns(const float* matrix, size_t rows, size_t stride,
+                     size_t begin, size_t end, const float* coeffs,
+                     float skip_below, float* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    const float c = coeffs[r];
+    if (std::fabs(c) < skip_below) continue;
+    const float* row = matrix + r * stride;
+    for (size_t i = begin; i < end; ++i) {
+      out[i] += c * row[i];
+    }
+  }
+}
+
+/// One register-resident column block of a vector backend's AxpyRows.
+using AxpyRowsBlockFn = void (*)(const float* matrix, size_t rows,
+                                 size_t stride, const float* coeffs,
+                                 float skip_below, float* out);
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -100,6 +120,30 @@ void SquaredDistanceRows(const float* matrix, size_t rows, size_t cols,
   for (size_t r = 0; r < rows; ++r) {
     out[r] = SquaredDistance(std::span<const float>(matrix + r * cols, cols),
                              std::span<const float>(x, cols));
+  }
+}
+
+void AxpyRows(const float* matrix, size_t rows, size_t cols,
+              const float* coeffs, float skip_below, float* out) {
+  AxpyRowsColumns(matrix, rows, cols, 0, cols, coeffs, skip_below, out);
+}
+
+void AdagradRowStep(float* param, float* accum, const float* grad, size_t n,
+                    float lr, float eps) {
+  for (size_t i = 0; i < n; ++i) {
+    accum[i] += grad[i] * grad[i];
+    param[i] -= lr * grad[i] / (std::sqrt(accum[i]) + eps);
+  }
+}
+
+void AdagradCandidateRowStep(float* param, float* accum, const float* query,
+                             float coeff, size_t n, float lr, float eps,
+                             float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const float g = coeff * query[i];
+    accum[i] += g * g;
+    param[i] -= lr * g / (std::sqrt(accum[i]) + eps);
+    out[i] += coeff * param[i];
   }
 }
 
@@ -265,6 +309,73 @@ void SqDist4(const float* r0, const float* r1, const float* r2,
   out[2] = ReduceLanes(l2);
   out[3] = ReduceLanes(l3);
 }
+
+void AdagradRowStep(float* param, float* accum, const float* grad, size_t n,
+                    float lr, float eps) {
+  const __m256 lrv = _mm256_set1_ps(lr);
+  const __m256 epsv = _mm256_set1_ps(eps);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 g = _mm256_loadu_ps(grad + i);
+    const __m256 a =
+        _mm256_add_ps(_mm256_loadu_ps(accum + i), _mm256_mul_ps(g, g));
+    _mm256_storeu_ps(accum + i, a);
+    const __m256 step = _mm256_div_ps(
+        _mm256_mul_ps(lrv, g), _mm256_add_ps(_mm256_sqrt_ps(a), epsv));
+    _mm256_storeu_ps(param + i, _mm256_sub_ps(_mm256_loadu_ps(param + i), step));
+  }
+  scalar::AdagradRowStep(param + i, accum + i, grad + i, n - i, lr, eps);
+}
+
+void AdagradCandidateRowStep(float* param, float* accum, const float* query,
+                             float coeff, size_t n, float lr, float eps,
+                             float* out) {
+  const __m256 cv = _mm256_set1_ps(coeff);
+  const __m256 lrv = _mm256_set1_ps(lr);
+  const __m256 epsv = _mm256_set1_ps(eps);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 g = _mm256_mul_ps(cv, _mm256_loadu_ps(query + i));
+    const __m256 a =
+        _mm256_add_ps(_mm256_loadu_ps(accum + i), _mm256_mul_ps(g, g));
+    _mm256_storeu_ps(accum + i, a);
+    const __m256 p = _mm256_sub_ps(
+        _mm256_loadu_ps(param + i),
+        _mm256_div_ps(_mm256_mul_ps(lrv, g),
+                      _mm256_add_ps(_mm256_sqrt_ps(a), epsv)));
+    _mm256_storeu_ps(param + i, p);
+    _mm256_storeu_ps(out + i,
+                     _mm256_add_ps(_mm256_loadu_ps(out + i),
+                                   _mm256_mul_ps(cv, p)));
+  }
+  scalar::AdagradCandidateRowStep(param + i, accum + i, query + i, coeff,
+                                  n - i, lr, eps, out + i);
+}
+
+/// AxpyRows over the K*8 columns at `matrix`/`out` (row stride `stride`):
+/// the K accumulators stay in registers across all rows.
+template <size_t K>
+void AxpyRowsBlock(const float* matrix, size_t rows, size_t stride,
+                   const float* coeffs, float skip_below, float* out) {
+  __m256 acc[K];
+  for (size_t k = 0; k < K; ++k) acc[k] = _mm256_loadu_ps(out + 8 * k);
+  for (size_t r = 0; r < rows; ++r) {
+    const float c = coeffs[r];
+    if (std::fabs(c) < skip_below) continue;
+    const __m256 cv = _mm256_set1_ps(c);
+    const float* row = matrix + r * stride;
+    for (size_t k = 0; k < K; ++k) {
+      acc[k] = _mm256_add_ps(acc[k],
+                             _mm256_mul_ps(cv, _mm256_loadu_ps(row + 8 * k)));
+    }
+  }
+  for (size_t k = 0; k < K; ++k) _mm256_storeu_ps(out + 8 * k, acc[k]);
+}
+
+constexpr size_t kAxpyRowsLanes = 8;
+constexpr AxpyRowsBlockFn kAxpyRowsBlocks[] = {
+    AxpyRowsBlock<1>, AxpyRowsBlock<2>, AxpyRowsBlock<3>, AxpyRowsBlock<4>,
+    AxpyRowsBlock<5>, AxpyRowsBlock<6>, AxpyRowsBlock<7>, AxpyRowsBlock<8>};
 
 }  // namespace avx2
 }  // namespace
@@ -460,6 +571,67 @@ void SqDist4(const float* r0, const float* r1, const float* r2,
   out[3] = ReduceLanes(l3);
 }
 
+void AdagradRowStep(float* param, float* accum, const float* grad, size_t n,
+                    float lr, float eps) {
+  const __m128 lrv = _mm_set1_ps(lr);
+  const __m128 epsv = _mm_set1_ps(eps);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128 g = _mm_loadu_ps(grad + i);
+    const __m128 a = _mm_add_ps(_mm_loadu_ps(accum + i), _mm_mul_ps(g, g));
+    _mm_storeu_ps(accum + i, a);
+    const __m128 step =
+        _mm_div_ps(_mm_mul_ps(lrv, g), _mm_add_ps(_mm_sqrt_ps(a), epsv));
+    _mm_storeu_ps(param + i, _mm_sub_ps(_mm_loadu_ps(param + i), step));
+  }
+  scalar::AdagradRowStep(param + i, accum + i, grad + i, n - i, lr, eps);
+}
+
+void AdagradCandidateRowStep(float* param, float* accum, const float* query,
+                             float coeff, size_t n, float lr, float eps,
+                             float* out) {
+  const __m128 cv = _mm_set1_ps(coeff);
+  const __m128 lrv = _mm_set1_ps(lr);
+  const __m128 epsv = _mm_set1_ps(eps);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128 g = _mm_mul_ps(cv, _mm_loadu_ps(query + i));
+    const __m128 a = _mm_add_ps(_mm_loadu_ps(accum + i), _mm_mul_ps(g, g));
+    _mm_storeu_ps(accum + i, a);
+    const __m128 p = _mm_sub_ps(
+        _mm_loadu_ps(param + i),
+        _mm_div_ps(_mm_mul_ps(lrv, g), _mm_add_ps(_mm_sqrt_ps(a), epsv)));
+    _mm_storeu_ps(param + i, p);
+    _mm_storeu_ps(out + i, _mm_add_ps(_mm_loadu_ps(out + i), _mm_mul_ps(cv, p)));
+  }
+  scalar::AdagradCandidateRowStep(param + i, accum + i, query + i, coeff,
+                                  n - i, lr, eps, out + i);
+}
+
+/// AxpyRows over the K*4 columns at `matrix`/`out` (row stride `stride`):
+/// the K accumulators stay in registers across all rows.
+template <size_t K>
+void AxpyRowsBlock(const float* matrix, size_t rows, size_t stride,
+                   const float* coeffs, float skip_below, float* out) {
+  __m128 acc[K];
+  for (size_t k = 0; k < K; ++k) acc[k] = _mm_loadu_ps(out + 4 * k);
+  for (size_t r = 0; r < rows; ++r) {
+    const float c = coeffs[r];
+    if (std::fabs(c) < skip_below) continue;
+    const __m128 cv = _mm_set1_ps(c);
+    const float* row = matrix + r * stride;
+    for (size_t k = 0; k < K; ++k) {
+      acc[k] = _mm_add_ps(acc[k], _mm_mul_ps(cv, _mm_loadu_ps(row + 4 * k)));
+    }
+  }
+  for (size_t k = 0; k < K; ++k) _mm_storeu_ps(out + 4 * k, acc[k]);
+}
+
+constexpr size_t kAxpyRowsLanes = 4;
+constexpr AxpyRowsBlockFn kAxpyRowsBlocks[] = {
+    AxpyRowsBlock<1>, AxpyRowsBlock<2>, AxpyRowsBlock<3>, AxpyRowsBlock<4>,
+    AxpyRowsBlock<5>, AxpyRowsBlock<6>, AxpyRowsBlock<7>, AxpyRowsBlock<8>};
+
 }  // namespace sse2
 }  // namespace
 
@@ -586,6 +758,60 @@ void SquaredDistanceRows(const float* matrix, size_t rows, size_t cols,
     out[r] = SquaredDistance(std::span<const float>(matrix + r * cols, cols),
                              std::span<const float>(x, cols));
   }
+#endif
+}
+
+void AxpyRows(const float* matrix, size_t rows, size_t cols,
+              const float* coeffs, float skip_below, float* out) {
+#if KELPIE_SIMD_BACKEND == 0
+  scalar::AxpyRows(matrix, rows, cols, coeffs, skip_below, out);
+#else
+#if KELPIE_SIMD_BACKEND == 2
+  namespace backend = avx2;
+#else
+  namespace backend = sse2;
+#endif
+  // Column blocks of up to 8 registers, each swept over all rows; the
+  // per-element operation order is the reference's either way.
+  constexpr size_t kWide = 8 * backend::kAxpyRowsLanes;
+  size_t col = 0;
+  for (; col + kWide <= cols; col += kWide) {
+    backend::kAxpyRowsBlocks[7](matrix + col, rows, cols, coeffs, skip_below,
+                                out + col);
+  }
+  const size_t regs = (cols - col) / backend::kAxpyRowsLanes;
+  if (regs > 0) {
+    backend::kAxpyRowsBlocks[regs - 1](matrix + col, rows, cols, coeffs,
+                                       skip_below, out + col);
+    col += regs * backend::kAxpyRowsLanes;
+  }
+  if (col < cols) {
+    AxpyRowsColumns(matrix, rows, cols, col, cols, coeffs, skip_below, out);
+  }
+#endif
+}
+
+void AdagradRowStep(float* param, float* accum, const float* grad, size_t n,
+                    float lr, float eps) {
+#if KELPIE_SIMD_BACKEND == 2
+  avx2::AdagradRowStep(param, accum, grad, n, lr, eps);
+#elif KELPIE_SIMD_BACKEND == 1
+  sse2::AdagradRowStep(param, accum, grad, n, lr, eps);
+#else
+  scalar::AdagradRowStep(param, accum, grad, n, lr, eps);
+#endif
+}
+
+void AdagradCandidateRowStep(float* param, float* accum, const float* query,
+                             float coeff, size_t n, float lr, float eps,
+                             float* out) {
+#if KELPIE_SIMD_BACKEND == 2
+  avx2::AdagradCandidateRowStep(param, accum, query, coeff, n, lr, eps, out);
+#elif KELPIE_SIMD_BACKEND == 1
+  sse2::AdagradCandidateRowStep(param, accum, query, coeff, n, lr, eps, out);
+#else
+  scalar::AdagradCandidateRowStep(param, accum, query, coeff, n, lr, eps,
+                                  out);
 #endif
 }
 

@@ -22,8 +22,9 @@ namespace simd {
 ///  - the 8 lane sums reduce in the fixed tree
 ///    ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
 ///
-/// Element-wise kernels (Axpy, Scale) have no reduction and are trivially
-/// bit-identical across backends.
+/// Element-wise kernels (Axpy, Scale, AxpyRows and the Adagrad steps) have
+/// no reduction and are trivially bit-identical across backends: every
+/// operation they use, sqrt and div included, is correctly rounded.
 ///
 /// The backend is chosen at compile time by the KELPIE_SIMD CMake option
 /// (auto|avx2|sse2|off); one binary contains exactly one backend plus the
@@ -65,6 +66,30 @@ void GemvRowMajor(const float* matrix, size_t rows, size_t cols,
 void SquaredDistanceRows(const float* matrix, size_t rows, size_t cols,
                          const float* x, float* out);
 
+/// Transposed sweep: out += coeffs[r] * (row r of `matrix`) for r in
+/// increasing order, skipping rows with |coeffs[r]| < skip_below (pass 0 to
+/// skip none). Each out[i] sees the same separately rounded mul-then-add
+/// sequence as one Axpy call per kept row; the vector backends only keep
+/// `out` in registers across the rows.
+void AxpyRows(const float* matrix, size_t rows, size_t cols,
+              const float* coeffs, float skip_below, float* out);
+
+/// One Adagrad step over n elements (DESIGN.md §11, optimizer steps):
+///   accum[i] += grad[i] * grad[i];
+///   param[i] -= (lr * grad[i]) / (sqrt(accum[i]) + eps).
+/// Element-wise with IEEE (correctly rounded) sqrt and div and no FMA, so
+/// every backend produces the same bits.
+void AdagradRowStep(float* param, float* accum, const float* grad, size_t n,
+                    float lr, float eps);
+
+/// Fused 1-N candidate row: the AdagradRowStep of `param` with gradient
+/// g[i] = coeff * query[i], then out[i] += coeff * param[i] (the updated
+/// value) — bit-identical to forming g, calling AdagradRowStep and then
+/// Axpy(coeff, param, out), in one pass over the row.
+void AdagradCandidateRowStep(float* param, float* accum, const float* query,
+                             float coeff, size_t n, float lr, float eps,
+                             float* out);
+
 /// Reference implementations of every kernel above, written directly
 /// against the lane contract with plain scalar code. Always compiled —
 /// the dispatching kernels must match them bit for bit on any backend
@@ -79,6 +104,13 @@ void GemvRowMajor(const float* matrix, size_t rows, size_t cols,
                   const float* x, float* out);
 void SquaredDistanceRows(const float* matrix, size_t rows, size_t cols,
                          const float* x, float* out);
+void AxpyRows(const float* matrix, size_t rows, size_t cols,
+              const float* coeffs, float skip_below, float* out);
+void AdagradRowStep(float* param, float* accum, const float* grad, size_t n,
+                    float lr, float eps);
+void AdagradCandidateRowStep(float* param, float* accum, const float* query,
+                             float coeff, size_t n, float lr, float eps,
+                             float* out);
 }  // namespace scalar
 
 }  // namespace simd

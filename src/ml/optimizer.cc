@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "math/simd.h"
 #include "ml/serialization.h"
 
 namespace kelpie {
@@ -34,12 +35,19 @@ void RowAdagrad::Step(Matrix& params, size_t row,
 void RowAdagrad::StepSpan(std::span<float> params, size_t row,
                           std::span<const float> grad) {
   KELPIE_DCHECK(params.size() == grad.size());
-  std::span<float> acc = accum_.Row(row);
-  const float lr = learning_rate_ * lr_scale_;
-  for (size_t i = 0; i < params.size(); ++i) {
-    acc[i] += grad[i] * grad[i];
-    params[i] -= lr * grad[i] / (std::sqrt(acc[i]) + epsilon_);
-  }
+  simd::AdagradRowStep(params.data(), accum_.Row(row).data(), grad.data(),
+                       params.size(), learning_rate_ * lr_scale_, epsilon_);
+}
+
+void RowAdagrad::StepCandidateRow(Matrix& params, size_t row,
+                                  std::span<const float> query, float coeff,
+                                  std::span<float> out) {
+  std::span<float> p = params.Row(row);
+  KELPIE_DCHECK(p.size() == query.size() && p.size() == out.size());
+  simd::AdagradCandidateRowStep(p.data(), accum_.Row(row).data(),
+                                query.data(), coeff, p.size(),
+                                learning_rate_ * lr_scale_, epsilon_,
+                                out.data());
 }
 
 void DenseAdam::Step(Matrix& params, std::span<const float> grad) {
@@ -87,15 +95,21 @@ void SparseRowAdagrad::Step(Matrix& params, size_t row,
 void SparseRowAdagrad::StepSpan(std::span<float> params, size_t row,
                                 std::span<const float> grad) {
   KELPIE_DCHECK(params.size() == grad.size());
-  // Identical arithmetic to RowAdagrad::StepSpan; only the accumulator
-  // storage differs, and a freshly materialized row is the zeros a dense
+  // The kernel RowAdagrad::StepSpan calls; only the accumulator storage
+  // differs, and a freshly materialized row is the zeros a dense
   // accumulator row would hold at this point.
-  std::span<float> acc = AccumRow(row);
-  const float lr = learning_rate_ * lr_scale_;
-  for (size_t i = 0; i < params.size(); ++i) {
-    acc[i] += grad[i] * grad[i];
-    params[i] -= lr * grad[i] / (std::sqrt(acc[i]) + epsilon_);
-  }
+  simd::AdagradRowStep(params.data(), AccumRow(row).data(), grad.data(),
+                       params.size(), learning_rate_ * lr_scale_, epsilon_);
+}
+
+void SparseRowAdagrad::StepCandidateRow(Matrix& params, size_t row,
+                                        std::span<const float> query,
+                                        float coeff, std::span<float> out) {
+  std::span<float> p = params.Row(row);
+  KELPIE_DCHECK(p.size() == query.size() && p.size() == out.size());
+  simd::AdagradCandidateRowStep(p.data(), AccumRow(row).data(), query.data(),
+                                coeff, p.size(), learning_rate_ * lr_scale_,
+                                epsilon_, out.data());
 }
 
 bool SparseRowAdagrad::AllFinite() const {

@@ -33,6 +33,13 @@ class RowAdagrad {
   void StepSpan(std::span<float> params, size_t row,
                 std::span<const float> grad);
 
+  /// Fused 1-N candidate row: steps `params` row `row` with gradient
+  /// coeff * query, then adds coeff * (updated row) to `out`. Bit-identical
+  /// to forming that gradient, calling Step and then Axpy (DESIGN.md §11).
+  void StepCandidateRow(Matrix& params, size_t row,
+                        std::span<const float> query, float coeff,
+                        std::span<float> out);
+
   float learning_rate() const { return learning_rate_; }
 
   /// Scales the effective learning rate (guarded training backs this off
@@ -143,6 +150,9 @@ class SparseRowAdagrad {
   void Step(Matrix& params, size_t row, std::span<const float> grad);
   void StepSpan(std::span<float> params, size_t row,
                 std::span<const float> grad);
+  void StepCandidateRow(Matrix& params, size_t row,
+                        std::span<const float> query, float coeff,
+                        std::span<float> out);
 
   float learning_rate() const { return learning_rate_; }
   void set_lr_scale(float scale) { lr_scale_ = scale; }
@@ -270,6 +280,16 @@ class EmbeddingAdagrad {
       sparse_opt_.StepSpan(params, row, grad);
     } else {
       dense_opt_.StepSpan(params, row, grad);
+    }
+  }
+  /// See RowAdagrad::StepCandidateRow.
+  void StepCandidateRow(Matrix& params, size_t row,
+                        std::span<const float> query, float coeff,
+                        std::span<float> out) {
+    if (sparse_) {
+      sparse_opt_.StepCandidateRow(params, row, query, coeff, out);
+    } else {
+      dense_opt_.StepCandidateRow(params, row, query, coeff, out);
     }
   }
 

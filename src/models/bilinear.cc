@@ -161,6 +161,30 @@ Status BilinearModel::Train(const Dataset& dataset, Rng& rng,
   auto maybe_clip = [clip, &clip_activations](std::span<float> g) {
     if (clip > 0.0f && ProjectToL2Ball(g, clip)) ++clip_activations;
   };
+  // Embedding-row optimizer steps, tallied and flushed the same way.
+  uint64_t row_steps = 0;
+  // Candidate row e of a 1-N softmax: dL/dE_e = coeff * query, applied
+  // immediately, then dquery += coeff * E_e (updated). Without clipping or
+  // the N3 term the gradient is exactly coeff * query and the fused kernel
+  // takes the whole row in one pass; otherwise the gradient is formed,
+  // adjusted and stepped explicitly. Both paths run the same element
+  // arithmetic (DESIGN.md §11), so they produce the same bytes.
+  auto step_candidate = [&](size_t e, float coeff,
+                            std::span<const float> query, bool n3,
+                            std::span<float> dquery) {
+    ++row_steps;
+    if (clip <= 0.0f && !n3) {
+      entity_opt.StepCandidateRow(entity_embeddings_, e, query, coeff, dquery);
+      return;
+    }
+    for (size_t i = 0; i < dim; ++i) {
+      ge[i] = coeff * query[i];
+    }
+    if (n3) AddN3Gradient(entity_embeddings_.Row(e), ge);
+    maybe_clip(ge);
+    entity_opt.Step(entity_embeddings_, e, ge);
+    Axpy(coeff, entity_embeddings_.Row(e), dquery);
+  };
 
   GuardedTrainHooks hooks;
   hooks.params = [&] {
@@ -223,17 +247,7 @@ Status BilinearModel::Train(const Dataset& dataset, Rng& rng,
         for (size_t e = 0; e < n_ent; ++e) {
           float coeff = scores[e] - (e == t ? 1.0f : 0.0f);
           if (std::fabs(coeff) < 1e-7f) continue;
-          // dL/dt_e = coeff * q  — applied immediately per candidate row.
-          std::span<const float> qv = q;
-          for (size_t i = 0; i < dim; ++i) {
-            ge[i] = coeff * qv[i];
-          }
-          if (e == t) {
-            AddN3Gradient(entity_embeddings_.Row(e), ge);
-          }
-          maybe_clip(ge);
-          entity_opt.Step(entity_embeddings_, e, ge);
-          Axpy(coeff, entity_embeddings_.Row(e), std::span<float>(dq));
+          step_candidate(e, coeff, q, /*n3=*/e == t, dq);
         }
         Fill(std::span<float>(gh), 0.0f);
         Fill(std::span<float>(gr), 0.0f);
@@ -245,6 +259,7 @@ Status BilinearModel::Train(const Dataset& dataset, Rng& rng,
         maybe_clip(gr);
         entity_opt.Step(entity_embeddings_, h, gh);
         relation_opt.Step(relation_embeddings_, r, gr);
+        row_steps += 2;
 
         // ---- Head direction: -log p(h | r, t). ----
         HeadQuery(relation_embeddings_.Row(r), entity_embeddings_.Row(t), w);
@@ -256,12 +271,7 @@ Status BilinearModel::Train(const Dataset& dataset, Rng& rng,
         for (size_t e = 0; e < n_ent; ++e) {
           float coeff = scores[e] - (e == h ? 1.0f : 0.0f);
           if (std::fabs(coeff) < 1e-7f) continue;
-          for (size_t i = 0; i < dim; ++i) {
-            ge[i] = coeff * w[i];
-          }
-          maybe_clip(ge);
-          entity_opt.Step(entity_embeddings_, e, ge);
-          Axpy(coeff, entity_embeddings_.Row(e), std::span<float>(dw));
+          step_candidate(e, coeff, w, /*n3=*/false, dw);
         }
         Fill(std::span<float>(gr), 0.0f);
         Fill(std::span<float>(gt), 0.0f);
@@ -273,6 +283,7 @@ Status BilinearModel::Train(const Dataset& dataset, Rng& rng,
         maybe_clip(gt);
         relation_opt.Step(relation_embeddings_, r, gr);
         entity_opt.Step(entity_embeddings_, t, gt);
+        row_steps += 2;
       }
     }
     return epoch_loss;
@@ -288,6 +299,11 @@ Status BilinearModel::Train(const Dataset& dataset, Rng& rng,
                   metrics::Determinism::kDeterministic,
                   "Gradient clip activations (L2 projection rescales).")
       .Increment(clip_activations);
+  metrics::Registry::Global()
+      .GetCounter("kelpie_train_row_steps_total", {},
+                  metrics::Determinism::kDeterministic,
+                  "Embedding-row optimizer steps taken by training.")
+      .Increment(row_steps);
   if (!report.ok()) return report.status();
   last_train_report_ = std::move(report.value());
   return Status::Ok();
@@ -336,12 +352,12 @@ std::vector<float> BilinearModel::PostTrainMimic(
         simd::GemvRowMajor(entity_embeddings_.Data().data(), n_ent, dim,
                            q.data(), scores.data());
         SoftmaxInPlace(scores);
+        // coeff_e = scores[e] - [e == t]; subtracting 0 leaves every other
+        // score's bits unchanged, so only the true tail needs adjusting.
+        scores[t] -= 1.0f;
         Fill(std::span<float>(dq), 0.0f);
-        for (size_t e = 0; e < n_ent; ++e) {
-          float coeff = scores[e] - (e == t ? 1.0f : 0.0f);
-          if (std::fabs(coeff) < 1e-7f) continue;
-          Axpy(coeff, entity_embeddings_.Row(e), std::span<float>(dq));
-        }
+        simd::AxpyRows(entity_embeddings_.Data().data(), n_ent, dim,
+                       scores.data(), 1e-7f, dq.data());
         BackpropTailQuery(mimic, relation_embeddings_.Row(r), dq, gm, {});
       } else {
         // Mimic as tail: the mimic is the true answer of the tail-direction

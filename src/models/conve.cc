@@ -114,14 +114,22 @@ void ConvE::BackwardMlp(const ForwardCache& cache, std::span<const float> dv,
                         SharedGrads* shared, std::span<float> grad_head,
                         std::span<float> grad_rel) const {
   const size_t dim = config_.dim;
+  // Per-thread scratch: BackwardMlp is const and runs concurrently through
+  // ScoreGradWrtHead, and it is called once per training example.
+  struct Scratch {
+    std::vector<float> dv_masked, d_conv, d_image;
+  };
+  thread_local Scratch scratch;
   // Hidden dropout, then ReLU on v.
-  std::vector<float> dv_masked(dv.begin(), dv.end());
+  std::vector<float>& dv_masked = scratch.dv_masked;
+  dv_masked.assign(dv.begin(), dv.end());
   if (cache.has_dropout) {
     DropoutBackward(cache.v_mask, dv_masked);
   }
   ReluBackward(cache.v, dv_masked);
   // FC backward.
-  std::vector<float> d_conv(conv_.OutputSize(), 0.0f);
+  std::vector<float>& d_conv = scratch.d_conv;
+  d_conv.assign(conv_.OutputSize(), 0.0f);
   fc_.Backward(cache.conv_out, dv_masked,
                shared ? std::span<float>(shared->fc_w) : std::span<float>{},
                shared ? std::span<float>(shared->fc_b) : std::span<float>{},
@@ -133,7 +141,7 @@ void ConvE::BackwardMlp(const ForwardCache& cache, std::span<const float> dv,
   ReluBackward(cache.conv_out, d_conv);
   // Conv backward.
   const bool need_input_grad = !grad_head.empty() || !grad_rel.empty();
-  std::vector<float> d_image;
+  std::vector<float>& d_image = scratch.d_image;
   if (need_input_grad) {
     d_image.assign(2 * dim, 0.0f);
   }
@@ -329,6 +337,11 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
   auto maybe_clip = [clip, &clip_activations](std::span<float> g) {
     if (clip > 0.0f && ProjectToL2Ball(g, clip)) ++clip_activations;
   };
+  // Embedding-row optimizer steps, tallied and flushed the same way.
+  uint64_t row_steps = 0;
+  // 1-N labels of the current example; only the positions set for it are
+  // cleared afterwards.
+  std::vector<char> is_positive(n_ent, 0);
 
   GuardedTrainHooks hooks;
   hooks.params = [&] {
@@ -419,7 +432,6 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
                            cache.v.data(), scores.data());
         simd::Axpy(1.0f, entity_bias_, scores);
         // 1-N BCE with label smoothing; labels from train-only tails.
-        std::vector<char> is_positive(n_ent, 0);
         auto it = train_tails.find(PairKey(triple.head, triple.relation));
         KELPIE_DCHECK(it != train_tails.end());
         for (EntityId t : it->second) {
@@ -434,14 +446,25 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
           float label = is_positive[e] ? smooth_pos : smooth_neg;
           float dphi = (Sigmoid(scores[e]) - label) * inv_n;
           if (std::fabs(dphi) < 1e-9f) continue;
-          // dL/dt_e = dphi * v, applied immediately.
+          // dL/dt_e = dphi * v, applied immediately, then dv += dphi * t_e
+          // (updated): one fused pass unless clipping must see the formed
+          // gradient (the same element arithmetic either way).
+          ++row_steps;
+          bias_grad[e] = dphi;
+          if (clip <= 0.0f) {
+            entity_opt.StepCandidateRow(entity_embeddings_, e, cache.v, dphi,
+                                        dv);
+            continue;
+          }
           for (size_t i = 0; i < dim; ++i) {
             ge[i] = dphi * cache.v[i];
           }
           maybe_clip(ge);
           entity_opt.Step(entity_embeddings_, e, ge);
-          bias_grad[e] = dphi;
           Axpy(dphi, entity_embeddings_.Row(e), std::span<float>(dv));
+        }
+        for (EntityId t : it->second) {
+          is_positive[static_cast<size_t>(t)] = 0;
         }
         bias_opt.StepSpan(entity_bias_, 0, bias_grad);
 
@@ -452,6 +475,7 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
         maybe_clip(gr);
         entity_opt.Step(entity_embeddings_, h, gh);
         relation_opt.Step(relation_embeddings_, r, gr);
+        row_steps += 3;  // the bias row, h and r
       }
       // Shared weights step once per batch.
       conv_w_opt.Step(conv_.weights(), shared.conv_w);
@@ -472,6 +496,11 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
                   metrics::Determinism::kDeterministic,
                   "Gradient clip activations (L2 projection rescales).")
       .Increment(clip_activations);
+  metrics::Registry::Global()
+      .GetCounter("kelpie_train_row_steps_total", {},
+                  metrics::Determinism::kDeterministic,
+                  "Embedding-row optimizer steps taken by training.")
+      .Increment(row_steps);
   if (!report.ok()) return report.status();
   last_train_report_ = std::move(report.value());
   return Status::Ok();
@@ -519,6 +548,7 @@ std::vector<float> ConvE::PostTrainMimic(const Dataset& dataset,
   ForwardCache cache;
   std::vector<float> scores(n_ent);
   std::vector<float> dv(dim), gm(dim);
+  std::vector<char> is_positive(n_ent, 0);
   std::vector<size_t> order(samples.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   const float smooth_pos =
@@ -540,20 +570,27 @@ std::vector<float> ConvE::PostTrainMimic(const Dataset& dataset,
       simd::GemvRowMajor(entity_embeddings_.Data().data(), n_ent, dim,
                          cache.v.data(), scores.data());
       simd::Axpy(1.0f, entity_bias_, scores);
-      std::vector<char> is_positive(n_ent, 0);
       auto it = mimic_tails.find(PairKey(entity, sample.relation));
       if (it != mimic_tails.end()) {
         for (EntityId t : it->second) {
           is_positive[static_cast<size_t>(t)] = 1;
         }
       }
-      Fill(std::span<float>(dv), 0.0f);
+      // scores[e] becomes dphi_e; dv = sum_e dphi_e * t_e in row order,
+      // with no skip.
       const float inv_n = 1.0f / static_cast<float>(n_ent);
       for (size_t e = 0; e < n_ent; ++e) {
         float label = is_positive[e] ? smooth_pos : smooth_neg;
-        float dphi = (Sigmoid(scores[e]) - label) * inv_n;
-        Axpy(dphi, entity_embeddings_.Row(e), std::span<float>(dv));
+        scores[e] = (Sigmoid(scores[e]) - label) * inv_n;
       }
+      if (it != mimic_tails.end()) {
+        for (EntityId t : it->second) {
+          is_positive[static_cast<size_t>(t)] = 0;
+        }
+      }
+      Fill(std::span<float>(dv), 0.0f);
+      simd::AxpyRows(entity_embeddings_.Data().data(), n_ent, dim,
+                     scores.data(), 0.0f, dv.data());
       BackwardMlp(cache, dv, nullptr, gm, {});
       mimic_opt.StepSpan(mimic, 0, gm);
     }

@@ -12,7 +12,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "math/matrix.h"
@@ -244,6 +247,182 @@ TEST(KernelEquivalenceTest, VecEntryPointsDelegate) {
                  "vec SquaredDistance");
   ExpectBitEqual(L1Distance(a, b), simd::L1Distance(a, b), "vec L1Distance");
   ExpectBitEqual(SquaredNorm(a), simd::Dot(a, a), "vec SquaredNorm");
+}
+
+// ---------------------------------------------------------------------------
+// Optimizer steps and the transposed sweep. These are element-wise (no lane
+// contract): mul, add, sub, div and sqrt are each correctly rounded, and
+// none may fuse, so every backend must match the reference bit for bit —
+// for signed zeros, denormals, infinities and NaNs too.
+// ---------------------------------------------------------------------------
+
+void ExpectSpansBitEqual(std::span<const float> a, std::span<const float> b,
+                         const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ExpectBitEqual(a[i], b[i], what + " i=" + std::to_string(i));
+  }
+}
+
+/// Gradient / query entries that stress the step: signed zeros, denormals,
+/// infinities, a NaN and ordinary values.
+std::vector<float> SpecialGradVec(size_t n, uint32_t salt) {
+  const float denorm_min = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {+0.0f, -0.0f, denorm_min, -denorm_min, 1e-40f,
+                            inf,   -inf,  nan,        0.75f,       -1.5f,
+                            3e-20f};
+  std::vector<float> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = specials[(i * 5 + salt) % (sizeof(specials) / sizeof(float))];
+  }
+  return v;
+}
+
+/// Non-negative accumulator rows (Adagrad state): all zeros (a fresh row)
+/// or positive values.
+std::vector<float> AccumVec(size_t n, bool zero, Rng& rng) {
+  std::vector<float> v(n, 0.0f);
+  if (!zero) {
+    for (float& x : v) x = static_cast<float>(rng.UniformDouble(0.0, 3.0));
+  }
+  return v;
+}
+
+constexpr float kEps = 1e-8f;
+// A base learning rate and the same rate backed off by a guard lr_scale.
+constexpr float kLearningRates[] = {0.1f, 0.1f * 0.5f};
+
+TEST(KernelEquivalenceTest, AdagradRowStepMatchesScalarReferenceAllDims) {
+  Rng rng(110);
+  for (float lr : kLearningRates) {
+    for (bool zero_accum : {true, false}) {
+      for (size_t n = 1; n <= kMaxDim; ++n) {
+        for (uint32_t salt = 0; salt < 3; ++salt) {
+          // salt 0: random gradients; 1..2: special values.
+          const std::vector<float> grad =
+              salt == 0 ? RandomVec(n, rng) : SpecialGradVec(n, salt);
+          const std::vector<float> param = RandomVec(n, rng);
+          const std::vector<float> accum = AccumVec(n, zero_accum, rng);
+          std::vector<float> p_simd = param, a_simd = accum;
+          std::vector<float> p_ref = param, a_ref = accum;
+          simd::AdagradRowStep(p_simd.data(), a_simd.data(), grad.data(), n,
+                               lr, kEps);
+          simd::scalar::AdagradRowStep(p_ref.data(), a_ref.data(),
+                                       grad.data(), n, lr, kEps);
+          const std::string what = "AdagradRowStep n=" + std::to_string(n) +
+                                   " salt=" + std::to_string(salt);
+          ExpectSpansBitEqual(p_simd, p_ref, what + " param");
+          ExpectSpansBitEqual(a_simd, a_ref, what + " accum");
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, AdagradCandidateRowStepMatchesScalarReference) {
+  Rng rng(111);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float coeffs[] = {0.37f, -1.25f, 0.0f, -0.0f, 1e-40f, inf};
+  for (float lr : kLearningRates) {
+    for (bool zero_accum : {true, false}) {
+      for (size_t n = 1; n <= kMaxDim; ++n) {
+        for (uint32_t salt = 0; salt < 3; ++salt) {
+          const std::vector<float> query =
+              salt == 0 ? RandomVec(n, rng) : SpecialGradVec(n, salt);
+          const float coeff = coeffs[(n + salt) % std::size(coeffs)];
+          const std::vector<float> param = RandomVec(n, rng);
+          const std::vector<float> accum = AccumVec(n, zero_accum, rng);
+          const std::vector<float> out = RandomVec(n, rng);
+          std::vector<float> p_simd = param, a_simd = accum, o_simd = out;
+          std::vector<float> p_ref = param, a_ref = accum, o_ref = out;
+          simd::AdagradCandidateRowStep(p_simd.data(), a_simd.data(),
+                                        query.data(), coeff, n, lr, kEps,
+                                        o_simd.data());
+          simd::scalar::AdagradCandidateRowStep(p_ref.data(), a_ref.data(),
+                                                query.data(), coeff, n, lr,
+                                                kEps, o_ref.data());
+          const std::string what = "AdagradCandidateRowStep n=" +
+                                   std::to_string(n) +
+                                   " salt=" + std::to_string(salt);
+          ExpectSpansBitEqual(p_simd, p_ref, what + " param");
+          ExpectSpansBitEqual(a_simd, a_ref, what + " accum");
+          ExpectSpansBitEqual(o_simd, o_ref, what + " out");
+        }
+      }
+    }
+  }
+}
+
+/// The fused kernel is the unfused sequence the trainers fall back to
+/// (form g = coeff * query, AdagradRowStep, Axpy of the updated row), so
+/// both paths produce the same bytes on the active backend.
+TEST(KernelEquivalenceTest, AdagradCandidateRowStepEqualsUnfusedSequence) {
+  Rng rng(112);
+  for (float lr : kLearningRates) {
+    for (size_t n = 1; n <= kMaxDim; ++n) {
+      const std::vector<float> query =
+          n % 3 == 0 ? SpecialGradVec(n, 1) : RandomVec(n, rng);
+      const float coeff = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
+      const std::vector<float> param = RandomVec(n, rng);
+      const std::vector<float> accum = AccumVec(n, n % 2 == 0, rng);
+      const std::vector<float> out = RandomVec(n, rng);
+      std::vector<float> p_fused = param, a_fused = accum, o_fused = out;
+      simd::AdagradCandidateRowStep(p_fused.data(), a_fused.data(),
+                                    query.data(), coeff, n, lr, kEps,
+                                    o_fused.data());
+      std::vector<float> p = param, a = accum, o = out, g(n);
+      for (size_t i = 0; i < n; ++i) g[i] = coeff * query[i];
+      simd::AdagradRowStep(p.data(), a.data(), g.data(), n, lr, kEps);
+      simd::Axpy(coeff, p, o);
+      const std::string what = "fused vs unfused n=" + std::to_string(n);
+      ExpectSpansBitEqual(p_fused, p, what + " param");
+      ExpectSpansBitEqual(a_fused, a, what + " accum");
+      ExpectSpansBitEqual(o_fused, o, what + " out");
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, AxpyRowsMatchesScalarReferenceAndAxpyLoop) {
+  Rng rng(113);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Column counts cover every register-block width of both vector
+  // backends, the 64-column blocks twice over, and the scalar column tail.
+  std::vector<size_t> col_counts;
+  for (size_t c = 1; c <= kMaxDim; ++c) col_counts.push_back(c);
+  for (size_t c : {128u, 131u, 200u}) col_counts.push_back(c);
+  for (size_t cols : col_counts) {
+    for (size_t rows : {0u, 1u, 5u, 13u}) {
+      for (float skip_below : {0.0f, 1e-7f}) {
+        const std::vector<float> matrix = RandomVec(rows * cols, rng);
+        std::vector<float> coeffs = RandomVec(rows, rng);
+        // Coefficients on both sides of the skip threshold, signed zeros
+        // (kept only without a threshold) and a NaN (never skipped).
+        const float specials[] = {5e-8f, -5e-8f, 0.0f, -0.0f, nan, 1e-7f};
+        for (size_t r = 0; r < rows; r += 2) {
+          coeffs[r] = specials[(r / 2 + cols) % std::size(specials)];
+        }
+        const std::vector<float> out = RandomVec(cols, rng);
+        std::vector<float> o_simd = out, o_ref = out, o_loop = out;
+        simd::AxpyRows(matrix.data(), rows, cols, coeffs.data(), skip_below,
+                       o_simd.data());
+        simd::scalar::AxpyRows(matrix.data(), rows, cols, coeffs.data(),
+                               skip_below, o_ref.data());
+        for (size_t r = 0; r < rows; ++r) {
+          if (std::fabs(coeffs[r]) < skip_below) continue;
+          simd::Axpy(coeffs[r],
+                     std::span<const float>(matrix.data() + r * cols, cols),
+                     o_loop);
+        }
+        const std::string what = "AxpyRows cols=" + std::to_string(cols) +
+                                 " rows=" + std::to_string(rows) +
+                                 " skip=" + std::to_string(skip_below);
+        ExpectSpansBitEqual(o_simd, o_ref, what + " vs reference");
+        ExpectSpansBitEqual(o_simd, o_loop, what + " vs Axpy loop");
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

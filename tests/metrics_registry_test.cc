@@ -12,6 +12,7 @@
 #include "baselines/explainer.h"
 #include "common/thread_pool.h"
 #include "eval/evaluator.h"
+#include "models/factory.h"
 #include "tests/test_util.h"
 #include "xp/pipeline.h"
 
@@ -225,6 +226,28 @@ TEST(ConcurrencyTest, RelaxedIncrementsAndObservationsAreExact) {
   EXPECT_EQ(h.BucketCount(0), kIters);
   // 1.0 added kIters times is exact in double arithmetic.
   EXPECT_DOUBLE_EQ(h.Sum(), static_cast<double>(kIters));
+}
+
+/// kelpie_train_row_steps_total is an exact work counter: one 1-N ComplEx
+/// example steps every candidate entity row in both directions plus the
+/// h, r (tail direction) and r, t (head direction) rows. One epoch from a
+/// fresh initialization leaves every softmax probability far above the
+/// 1e-7 skip threshold, so no candidate row is skipped.
+TEST(WorkCounterTest, TrainRowStepsExactForTinyComplExRun) {
+  ScopedRegistry scoped;
+  Dataset dataset = testing_util::MakeToyDataset();
+  TrainConfig config = testing_util::FastConfig(ModelKind::kComplEx);
+  config.epochs = 1;
+  auto model = CreateModel(ModelKind::kComplEx, dataset, config);
+  Rng rng(11);
+  ASSERT_TRUE(model->Train(dataset, rng).ok());
+  const uint64_t examples = dataset.train().size();
+  const uint64_t n_ent = dataset.num_entities();
+  EXPECT_EQ(examples, 77u);
+  EXPECT_EQ(n_ent, 51u);
+  EXPECT_EQ(scoped.registry().CounterFamilyTotal(
+                "kelpie_train_row_steps_total"),
+            examples * (2 * n_ent + 4));
 }
 
 // ---------------------------------------------------------------------------
