@@ -18,9 +18,10 @@ namespace kelpie {
 namespace {
 
 constexpr std::string_view kMagic = "KELPCKP1";
-// v2 appends the "sparse" section (sparse optimizer blob). v1 files —
-// written before sparse updates existed, necessarily by dense trainers —
-// are still accepted on read and restore with an empty sparse blob.
+// v2 appends the "sparse" section, written empty. A non-empty one was
+// written by the removed sparse optimizers and cannot resume (its
+// accumulators are not in the params section). v1 files lack the section
+// and are still accepted on read.
 constexpr uint64_t kVersion = 2;
 constexpr uint64_t kSectionCount = 5;
 constexpr uint64_t kVersionV1 = 1;
@@ -327,14 +328,17 @@ std::optional<CheckpointState> TrainCheckpointer::TryRestore() {
   if (parsed.ok()) parsed = ParseCountersSection(section, state.counters);
   if (parsed.ok()) parsed = ReadSection(payload, "params", section);
   if (parsed.ok()) parsed = ParseParamsSection(section, state.params);
-  if (parsed.ok() && is_v2) {
-    // The sparse section payload is the opaque save_sparse blob itself;
-    // the trainer's restore_sparse hook is its parser.
-    parsed = ReadSection(payload, "sparse", section);
-    if (parsed.ok()) state.sparse = std::move(section);
-  }
+  if (parsed.ok() && is_v2) parsed = ReadSection(payload, "sparse", section);
   if (!parsed.ok()) {
     return degrade(CheckpointRestoreOutcome::kCorrupt, parsed.ToString());
+  }
+  if (is_v2 && !section.empty()) {
+    NoteShapeMismatch();
+    KELPIE_LOG(Warning) << "checkpoint " << path
+                        << ": holds sparse optimizer state, which this "
+                        << "build cannot resume; restarting training from "
+                        << "scratch";
+    return std::nullopt;
   }
 
   outcome_ = CheckpointRestoreOutcome::kRestored;
@@ -361,7 +365,7 @@ Status TrainCheckpointer::Save(const CheckpointState& state) {
   const size_t params_start = static_cast<size_t>(out.tellp());
   KELPIE_RETURN_IF_ERROR(SerializeParamsSection(state.params, section));
   KELPIE_RETURN_IF_ERROR(WriteSection(out, "params", section));
-  KELPIE_RETURN_IF_ERROR(WriteSection(out, "sparse", state.sparse));
+  KELPIE_RETURN_IF_ERROR(WriteSection(out, "sparse", std::string()));
   std::string image = std::move(out).str();
 
   if (failpoint::Fire("checkpoint.bit_flip")) {

@@ -20,11 +20,12 @@ namespace kelpie {
 /// trainer exposes (embedding tables AND optimizer accumulators/moments —
 /// at a commit boundary this equals the divergence-rewind snapshot, so one
 /// section persists both), the non-float optimizer counters (Adam step
-/// counts), the sparse optimizer blob (touched-row Adagrad/Adam state when
-/// TrainConfig::sparse_updates is on — format v2's fifth section; v1 files
-/// without it still restore, with fresh sparse state), the RNG stream
-/// position, the epoch counter and the full recovery ledger (lr_scale,
-/// remaining recovery budget, recorded events).
+/// counts), the RNG stream position, the epoch counter and the full
+/// recovery ledger (lr_scale, remaining recovery budget, recorded events).
+/// Format v2 carries a fifth section, "sparse", which is always written
+/// empty: it held the state of a since-removed sparse optimizer, and a file
+/// whose "sparse" section is non-empty restores as kShapeMismatch (scratch).
+/// v1 files, which lack the section, still restore.
 /// Resuming from it therefore converges to final parameters bitwise
 /// identical to an uninterrupted run — the same guarantee class as the
 /// experiment journal's replay.
@@ -88,7 +89,8 @@ enum class CheckpointRestoreOutcome : uint8_t {
   kRestored,          ///< full state loaded
   kCorrupt,           ///< DataLoss (torn/flipped/partial) — scratch
   kStaleConfig,       ///< fingerprint mismatch — scratch
-  kShapeMismatch,     ///< parameter spans disagree — scratch
+  kShapeMismatch,     ///< parameter spans (or a non-empty "sparse"
+                      ///< section) disagree — scratch
 };
 
 /// Stable human-readable name ("Restored", "StaleConfig", ...).
@@ -111,10 +113,6 @@ struct CheckpointState {
   std::vector<uint64_t> counters;
   /// One entry per hooks.params() span, same order and sizes.
   std::vector<std::vector<float>> params;
-  /// Opaque sparse optimizer blob (GuardedTrainHooks::save_sparse); empty
-  /// for dense-only trainers and for files written before the sparse
-  /// section existed (format v1, still accepted on read).
-  std::string sparse;
 };
 
 /// Serializer/deserializer for one training run's checkpoint file. Owned by
@@ -153,7 +151,8 @@ class TrainCheckpointer {
   uint64_t restored_epoch() const { return restored_epoch_; }
 
   /// The guard reports a span-shape disagreement between restored state and
-  /// the live trainer (degrades to scratch).
+  /// the live trainer (degrades to scratch). TryRestore records the same
+  /// outcome for a file with a non-empty "sparse" section.
   void NoteShapeMismatch() {
     outcome_ = CheckpointRestoreOutcome::kShapeMismatch;
     restored_epoch_ = 0;

@@ -2,20 +2,18 @@
 #define KELPIE_ML_OPTIMIZER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "math/matrix.h"
 
 namespace kelpie {
 
-/// Per-row Adagrad state for sparse embedding updates. Each parameter keeps
-/// an accumulated squared gradient; rows that never receive gradients pay no
-/// cost. This is the optimizer the ComplEx/DistMult trainers use (following
-/// Lacroix et al.'s canonical-decomposition setup).
+/// Per-row Adagrad for embedding tables. Each parameter keeps an accumulated
+/// squared gradient, allocated for the whole table; a step reads and writes
+/// only its own row. This is the optimizer the ComplEx/DistMult trainers use
+/// (following Lacroix et al.'s canonical-decomposition setup), and ConvE's
+/// embedding tables and entity bias.
 class RowAdagrad {
  public:
   RowAdagrad() = default;
@@ -107,241 +105,6 @@ class DenseAdam {
 /// Plain SGD helper: params -= lr * grad. TransE's original optimizer.
 void SgdStep(std::span<float> params, std::span<const float> grad,
              float learning_rate);
-
-/// -----------------------------------------------------------------------
-/// Sparse optimizer state (DESIGN.md §16).
-///
-/// The dense optimizers above allocate state for every row of the table
-/// they condition, even though one batch (and especially one mimic
-/// post-training) touches a handful of rows. The sparse variants keep
-/// per-row state in an index-keyed map that materializes a row the first
-/// time it receives a gradient. A freshly materialized row starts at
-/// zeros — exactly the state its dense counterpart holds before the first
-/// gradient — and the per-element update replicates the dense StepSpan
-/// arithmetic operation for operation, so sparse and dense training
-/// produce byte-identical parameters, and touched rows hold byte-identical
-/// accumulator values; untouched rows simply have no storage (which is
-/// the bit-exact preservation of their all-zeros dense state).
-///
-/// Because the storage grows as rows are touched, sparse state cannot be
-/// exposed to the training guard as stable float spans the way AccumData()
-/// is. Instead each sparse optimizer serializes to / restores from a
-/// deterministic blob (rows ordered by index), which the guard snapshots,
-/// rewinds and checkpoints through the save_sparse/restore_sparse hooks
-/// (ml/train_guard.h) and the checkpoint's "sparse" section.
-/// -----------------------------------------------------------------------
-
-/// Sparse counterpart of RowAdagrad.
-class SparseRowAdagrad {
- public:
-  SparseRowAdagrad() = default;
-
-  /// `rows`/`cols` bound the legal row indices and fix the row width; no
-  /// accumulator storage is allocated until a row is touched.
-  SparseRowAdagrad(size_t rows, size_t cols, float learning_rate,
-                   float epsilon = 1e-8f)
-      : rows_(rows),
-        cols_(cols),
-        learning_rate_(learning_rate),
-        epsilon_(epsilon) {}
-
-  /// Same step arithmetic as RowAdagrad::Step, against lazily materialized
-  /// accumulator storage.
-  void Step(Matrix& params, size_t row, std::span<const float> grad);
-  void StepSpan(std::span<float> params, size_t row,
-                std::span<const float> grad);
-  void StepCandidateRow(Matrix& params, size_t row,
-                        std::span<const float> query, float coeff,
-                        std::span<float> out);
-
-  float learning_rate() const { return learning_rate_; }
-  void set_lr_scale(float scale) { lr_scale_ = scale; }
-  float lr_scale() const { return lr_scale_; }
-
-  size_t rows() const { return rows_; }
-  size_t cols() const { return cols_; }
-  /// Rows that have received at least one gradient (== map entries).
-  size_t touched_rows() const { return accum_.size(); }
-
-  /// True when every materialized accumulator value is finite (untouched
-  /// rows are zero by definition).
-  bool AllFinite() const;
-
-  /// Deterministic serialization: shape header + touched rows ordered by
-  /// index. Two optimizers holding the same logical state produce the same
-  /// bytes regardless of map iteration order or touch history.
-  std::string SaveState() const;
-
-  /// Parses and applies a SaveState blob. Validates fully before mutating:
-  /// on a malformed blob or a shape mismatch, returns false and leaves the
-  /// current state untouched. An empty blob clears all touched rows (the
-  /// state of a fresh optimizer).
-  bool RestoreState(std::string_view blob);
-
- private:
-  std::span<float> AccumRow(size_t row);
-
-  size_t rows_ = 0;
-  size_t cols_ = 0;
-  float learning_rate_ = 0.0f;
-  float lr_scale_ = 1.0f;
-  float epsilon_ = 1e-8f;
-  std::unordered_map<size_t, std::vector<float>> accum_;
-};
-
-/// Sparse per-row Adam. Each touched row carries its own first/second
-/// moments AND its own step count: bias correction advances only when the
-/// row is stepped, which is the standard "lazy Adam" semantics for
-/// embedding tables (a dense Adam over the whole table would decay the
-/// moments of untouched rows and is not what embedding training wants).
-/// The per-row step arithmetic mirrors DenseAdam::StepSpan bit for bit, so
-/// a SparseAdam row stepped k times equals a one-row DenseAdam stepped k
-/// times, byte for byte.
-class SparseAdam {
- public:
-  SparseAdam() = default;
-
-  SparseAdam(size_t rows, size_t cols, float learning_rate,
-             float beta1 = 0.9f, float beta2 = 0.999f, float epsilon = 1e-8f)
-      : rows_(rows),
-        cols_(cols),
-        learning_rate_(learning_rate),
-        beta1_(beta1),
-        beta2_(beta2),
-        epsilon_(epsilon) {}
-
-  void Step(Matrix& params, size_t row, std::span<const float> grad);
-  void StepSpan(std::span<float> params, size_t row,
-                std::span<const float> grad);
-
-  void set_lr_scale(float scale) { lr_scale_ = scale; }
-  float lr_scale() const { return lr_scale_; }
-
-  size_t rows() const { return rows_; }
-  size_t cols() const { return cols_; }
-  size_t touched_rows() const { return state_.size(); }
-  /// Step count of `row` (0 when never touched).
-  int64_t row_step_count(size_t row) const;
-
-  bool AllFinite() const;
-  /// See SparseRowAdagrad::SaveState/RestoreState; the blob additionally
-  /// carries each row's step count next to its moments.
-  std::string SaveState() const;
-  bool RestoreState(std::string_view blob);
-
- private:
-  struct RowState {
-    std::vector<float> m;
-    std::vector<float> v;
-    int64_t t = 0;
-  };
-
-  RowState& StateRow(size_t row);
-
-  size_t rows_ = 0;
-  size_t cols_ = 0;
-  float learning_rate_ = 0.0f;
-  float lr_scale_ = 1.0f;
-  float beta1_ = 0.9f;
-  float beta2_ = 0.999f;
-  float epsilon_ = 1e-8f;
-  std::unordered_map<size_t, RowState> state_;
-};
-
-/// Construction-time dispatch between RowAdagrad and SparseRowAdagrad —
-/// the seam the model trainers sit on so TrainConfig::sparse_updates flips
-/// storage behavior without forking the gradient code. The step arithmetic
-/// is identical on both sides; only the guard integration differs (dense
-/// exposes an accumulator span, sparse exposes the blob hooks).
-class EmbeddingAdagrad {
- public:
-  EmbeddingAdagrad() = default;
-
-  EmbeddingAdagrad(bool sparse, size_t rows, size_t cols, float learning_rate,
-                   float epsilon = 1e-8f)
-      : sparse_(sparse) {
-    if (sparse_) {
-      sparse_opt_ = SparseRowAdagrad(rows, cols, learning_rate, epsilon);
-    } else {
-      dense_opt_ = RowAdagrad(rows, cols, learning_rate, epsilon);
-    }
-  }
-
-  void Step(Matrix& params, size_t row, std::span<const float> grad) {
-    if (sparse_) {
-      sparse_opt_.Step(params, row, grad);
-    } else {
-      dense_opt_.Step(params, row, grad);
-    }
-  }
-  void StepSpan(std::span<float> params, size_t row,
-                std::span<const float> grad) {
-    if (sparse_) {
-      sparse_opt_.StepSpan(params, row, grad);
-    } else {
-      dense_opt_.StepSpan(params, row, grad);
-    }
-  }
-  /// See RowAdagrad::StepCandidateRow.
-  void StepCandidateRow(Matrix& params, size_t row,
-                        std::span<const float> query, float coeff,
-                        std::span<float> out) {
-    if (sparse_) {
-      sparse_opt_.StepCandidateRow(params, row, query, coeff, out);
-    } else {
-      dense_opt_.StepCandidateRow(params, row, query, coeff, out);
-    }
-  }
-
-  void set_lr_scale(float scale) {
-    if (sparse_) {
-      sparse_opt_.set_lr_scale(scale);
-    } else {
-      dense_opt_.set_lr_scale(scale);
-    }
-  }
-
-  bool sparse() const { return sparse_; }
-
-  /// Dense accumulator span for GuardedTrainHooks::params. Empty in sparse
-  /// mode — sparse state travels through the blob hooks instead.
-  std::span<float> DenseAccumData() {
-    return sparse_ ? std::span<float>{} : dense_opt_.AccumData();
-  }
-
-  /// Sparse-state guard hooks; trivial in dense mode (empty blob, any
-  /// restore of an empty blob succeeds) so trainers can wire them
-  /// unconditionally.
-  std::string SaveSparseState() const {
-    return sparse_ ? sparse_opt_.SaveState() : std::string();
-  }
-  bool RestoreSparseState(std::string_view blob) {
-    return sparse_ ? sparse_opt_.RestoreState(blob) : blob.empty();
-  }
-  bool SparseFinite() const { return sparse_ ? sparse_opt_.AllFinite() : true; }
-
-  size_t touched_rows() const {
-    return sparse_ ? sparse_opt_.touched_rows() : 0;
-  }
-
- private:
-  bool sparse_ = false;
-  RowAdagrad dense_opt_;
-  SparseRowAdagrad sparse_opt_;
-};
-
-/// Length-frames several per-optimizer sparse blobs into the single blob a
-/// trainer hands the guard (save_sparse hook / checkpoint "sparse"
-/// section). A vector of empty blobs composes to a canonical form that
-/// SplitSparseBlobs round-trips exactly.
-std::string ComposeSparseBlobs(const std::vector<std::string>& blobs);
-
-/// Inverse of ComposeSparseBlobs. Returns false (leaving `out` unspecified)
-/// on a malformed frame or when the blob does not hold exactly `expected`
-/// parts. An entirely empty input yields `expected` empty parts — the
-/// representation of fresh (or dense-mode) optimizer state.
-bool SplitSparseBlobs(std::string_view blob, size_t expected,
-                      std::vector<std::string>& out);
 
 }  // namespace kelpie
 

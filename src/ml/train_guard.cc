@@ -91,25 +91,11 @@ size_t MaybeRestoreCheckpoint(const GuardConfig& config,
   if (shapes_ok && hooks.save_counters) {
     shapes_ok = state->counters.size() == hooks.save_counters().size();
   }
-  if (shapes_ok && !state->sparse.empty() && !hooks.restore_sparse) {
-    // A checkpoint carrying sparse optimizer state cannot resume a trainer
-    // that has nowhere to put it.
-    shapes_ok = false;
-  }
   if (!shapes_ok) {
     ckpt->NoteShapeMismatch();
     KELPIE_LOG(Warning) << "checkpoint " << ckpt->FilePath()
                         << ": parameter shapes disagree with this model; "
                         << "restarting training from scratch";
-    return 0;
-  }
-  if (hooks.restore_sparse && !hooks.restore_sparse(state->sparse)) {
-    // restore_sparse validates before mutating, so degrading here leaves
-    // the live trainer state untouched.
-    ckpt->NoteShapeMismatch();
-    KELPIE_LOG(Warning) << "checkpoint " << ckpt->FilePath()
-                        << ": sparse optimizer state disagrees with this "
-                        << "model; restarting training from scratch";
     return 0;
   }
 
@@ -142,8 +128,7 @@ void SaveCheckpoint(const GuardConfig& config, const GuardedTrainHooks& hooks,
                     uint64_t next_epoch, float lr_scale, int recoveries_left,
                     const TrainReport& report,
                     const std::vector<std::vector<float>>& committed_params,
-                    const std::vector<uint64_t>& counters,
-                    const std::string& sparse) {
+                    const std::vector<uint64_t>& counters) {
   TrainCheckpointer* ckpt = config.checkpointer;
   if (ckpt == nullptr || !ckpt->saves_enabled()) return;
   CheckpointState state;
@@ -154,7 +139,6 @@ void SaveCheckpoint(const GuardConfig& config, const GuardedTrainHooks& hooks,
   if (hooks.save_rng) state.rng = hooks.save_rng();
   state.counters = counters;
   state.params = committed_params;
-  state.sparse = sparse;
   Status saved = ckpt->Save(state);
   if (!saved.ok()) {
     KELPIE_LOG(Warning) << "checkpoint save to " << ckpt->FilePath()
@@ -184,13 +168,11 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
         config, hooks, params, report, lr_scale, recoveries_left);
     std::vector<std::vector<float>> committed;
     std::vector<uint64_t> counters;
-    std::string sparse;
     auto persist = [&](size_t next_epoch) {
       TakeSnapshot(params, committed);
       if (hooks.save_counters) counters = hooks.save_counters();
-      if (hooks.save_sparse) sparse = hooks.save_sparse();
       SaveCheckpoint(config, hooks, next_epoch, lr_scale, recoveries_left,
-                     report, committed, counters, sparse);
+                     report, committed, counters);
     };
     for (size_t epoch = start_epoch; epoch < config.epochs; ++epoch) {
       if (config.cancel.cancelled()) {
@@ -225,10 +207,8 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
 
   std::vector<std::vector<float>> snapshot;
   std::vector<uint64_t> counters;
-  std::string sparse_snapshot;
   TakeSnapshot(params, snapshot);
   if (hooks.save_counters) counters = hooks.save_counters();
-  if (hooks.save_sparse) sparse_snapshot = hooks.save_sparse();
 
   for (size_t epoch = start_epoch; epoch < config.epochs;) {
     if (config.cancel.cancelled()) {
@@ -237,7 +217,7 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
       report.completeness = Completeness::kCancelled;
       report.lr_scale = lr_scale;
       SaveCheckpoint(config, hooks, epoch, lr_scale, recoveries_left, report,
-                     snapshot, counters, sparse_snapshot);
+                     snapshot, counters);
       return report;
     }
 
@@ -258,8 +238,6 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
       reason = "non-finite loss";
     } else if (!AllFinite(params)) {
       reason = "non-finite parameters";
-    } else if (hooks.sparse_finite && !hooks.sparse_finite()) {
-      reason = "non-finite sparse optimizer state";
     }
 
     if (reason == nullptr) {
@@ -268,13 +246,12 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
       // persists both the model and the last-good recovery target.
       TakeSnapshot(params, snapshot);
       if (hooks.save_counters) counters = hooks.save_counters();
-      if (hooks.save_sparse) sparse_snapshot = hooks.save_sparse();
       ++epoch;
       if (config.checkpointer != nullptr &&
           (config.checkpointer->ShouldSave(epoch) ||
            epoch == config.epochs)) {
         SaveCheckpoint(config, hooks, epoch, lr_scale, recoveries_left,
-                       report, snapshot, counters, sparse_snapshot);
+                       report, snapshot, counters);
       }
       if (failpoint::Fire("train.interrupt", epoch - 1)) {
         return Status::Aborted("train.interrupt failpoint fired after epoch " +
@@ -286,7 +263,6 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
     if (!config.recover_on_divergence || recoveries_left <= 0) {
       RestoreSnapshot(snapshot, params);
       if (hooks.restore_counters) hooks.restore_counters(counters);
-      if (hooks.restore_sparse) hooks.restore_sparse(sparse_snapshot);
       std::string msg = "training diverged at epoch " + std::to_string(epoch) +
                         " (" + reason + ")";
       if (config.recover_on_divergence) {
@@ -300,7 +276,6 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
 
     RestoreSnapshot(snapshot, params);
     if (hooks.restore_counters) hooks.restore_counters(counters);
-    if (hooks.restore_sparse) hooks.restore_sparse(sparse_snapshot);
     train_metrics.recoveries.Increment();
     --recoveries_left;
     lr_scale *= config.lr_backoff;
@@ -314,7 +289,7 @@ Result<TrainReport> RunGuardedEpochs(const GuardConfig& config,
     // The updated recovery ledger (and the rewound state it protects) is
     // itself worth surviving a crash.
     SaveCheckpoint(config, hooks, epoch, lr_scale, recoveries_left, report,
-                   snapshot, counters, sparse_snapshot);
+                   snapshot, counters);
   }
 
   report.lr_scale = lr_scale;

@@ -106,22 +106,6 @@ struct GuardedTrainHooks {
   /// never checkpointed.
   std::function<RngState()> save_rng;
   std::function<void(const RngState&)> restore_rng;
-
-  /// Optional: sparse optimizer state (TrainConfig::sparse_updates) whose
-  /// storage grows as rows are touched and therefore cannot ride in the
-  /// stable `params` spans. save_sparse returns a deterministic blob (the
-  /// trainer typically composes its optimizers' SaveState outputs with
-  /// ComposeSparseBlobs); restore_sparse applies one and must
-  /// validate-before-mutate, returning false on any shape disagreement —
-  /// the guard then treats a checkpoint restore as a shape mismatch and
-  /// degrades to scratch. An empty blob restores fresh (no touched rows)
-  /// state. The guard captures/rewinds the blob at exactly the boundaries
-  /// it snapshots `params`, persists it in the checkpoint's "sparse"
-  /// section, and consults sparse_finite alongside the `params` finiteness
-  /// scan. Omit all three for dense-only trainers.
-  std::function<std::string()> save_sparse;
-  std::function<bool(const std::string&)> restore_sparse;
-  std::function<bool()> sparse_finite;
 };
 
 /// Runs `config.epochs` training epochs with divergence guardrails:

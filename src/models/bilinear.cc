@@ -141,10 +141,8 @@ Status BilinearModel::Train(const Dataset& dataset, Rng& rng,
   const size_t n_ent = num_entities();
   const size_t dim = entity_dim();
 
-  EmbeddingAdagrad entity_opt(config_.sparse_updates, n_ent, dim,
-                              config_.learning_rate);
-  EmbeddingAdagrad relation_opt(config_.sparse_updates, num_relations(), dim,
-                                config_.learning_rate);
+  RowAdagrad entity_opt(n_ent, dim, config_.learning_rate);
+  RowAdagrad relation_opt(num_relations(), dim, config_.learning_rate);
   Batcher batcher(train.size(), config_.batch_size);
 
   std::vector<float> scores(n_ent);
@@ -188,42 +186,10 @@ Status BilinearModel::Train(const Dataset& dataset, Rng& rng,
 
   GuardedTrainHooks hooks;
   hooks.params = [&] {
-    // Dense mode keeps the historical span layout (embeddings + both
-    // accumulator tables), so pre-sparse checkpoints stay resumable. In
-    // sparse mode the accumulators live in touched-row maps and travel
-    // through the save_sparse/restore_sparse blob hooks instead.
-    std::vector<std::span<float>> spans{entity_embeddings_.Data(),
-                                        relation_embeddings_.Data()};
-    if (!config_.sparse_updates) {
-      spans.push_back(entity_opt.DenseAccumData());
-      spans.push_back(relation_opt.DenseAccumData());
-    }
-    return spans;
+    return std::vector<std::span<float>>{
+        entity_embeddings_.Data(), relation_embeddings_.Data(),
+        entity_opt.AccumData(), relation_opt.AccumData()};
   };
-  if (config_.sparse_updates) {
-    hooks.save_sparse = [&] {
-      return ComposeSparseBlobs(
-          {entity_opt.SaveSparseState(), relation_opt.SaveSparseState()});
-    };
-    hooks.restore_sparse = [&](const std::string& blob) {
-      std::vector<std::string> parts;
-      if (!SplitSparseBlobs(blob, 2, parts)) return false;
-      // Validate both halves before mutating either, so a failed restore
-      // leaves the optimizers untouched.
-      EmbeddingAdagrad probe_e = entity_opt;
-      EmbeddingAdagrad probe_r = relation_opt;
-      if (!probe_e.RestoreSparseState(parts[0]) ||
-          !probe_r.RestoreSparseState(parts[1])) {
-        return false;
-      }
-      entity_opt = std::move(probe_e);
-      relation_opt = std::move(probe_r);
-      return true;
-    };
-    hooks.sparse_finite = [&] {
-      return entity_opt.SparseFinite() && relation_opt.SparseFinite();
-    };
-  }
   hooks.run_epoch = [&](size_t /*epoch*/, float lr_scale) -> double {
     entity_opt.set_lr_scale(lr_scale);
     relation_opt.set_lr_scale(lr_scale);
@@ -326,9 +292,8 @@ std::vector<float> BilinearModel::PostTrainMimic(
 
   const float lr = config_.post_training_lr > 0 ? config_.post_training_lr
                                                 : config_.learning_rate;
-  // One-row optimizer for the mimic; under sparse_updates its accumulator
-  // materializes on the first gradient (same bytes either way).
-  EmbeddingAdagrad mimic_opt(config_.sparse_updates, 1, dim, lr);
+  // One-row optimizer for the mimic.
+  RowAdagrad mimic_opt(1, dim, lr);
 
   std::vector<float> scores(n_ent);
   std::vector<float> q(dim), w(dim);

@@ -306,16 +306,12 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
   DenseAdam fc_w_opt(fc_.weights().rows(), fc_.weights().cols(),
                      config_.conv_lr);
   DenseAdam fc_b_opt(1, fc_.bias().size(), config_.conv_lr);
-  // Embedding tables and the entity bias route through the sparse-capable
-  // row optimizer; the shared conv/FC layers are genuinely dense and keep
-  // DenseAdam regardless of TrainConfig::sparse_updates.
-  EmbeddingAdagrad entity_opt(config_.sparse_updates, n_ent, dim,
-                              config_.learning_rate);
-  EmbeddingAdagrad relation_opt(config_.sparse_updates,
-                                relation_embeddings_.rows(), dim,
-                                config_.learning_rate);
-  EmbeddingAdagrad bias_opt(config_.sparse_updates, 1, n_ent,
-                            config_.learning_rate);
+  // Embedding tables and the entity bias use the row optimizer; the shared
+  // conv/FC layers use DenseAdam.
+  RowAdagrad entity_opt(n_ent, dim, config_.learning_rate);
+  RowAdagrad relation_opt(relation_embeddings_.rows(), dim,
+                          config_.learning_rate);
+  RowAdagrad bias_opt(1, n_ent, config_.learning_rate);
 
   SharedGrads shared;
   shared.Resize(conv_, fc_);
@@ -345,20 +341,12 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
 
   GuardedTrainHooks hooks;
   hooks.params = [&] {
-    // Dense mode keeps the historical 18-span layout so pre-sparse
-    // checkpoints stay resumable; in sparse mode the three Adagrad
-    // accumulators move into the save_sparse/restore_sparse blob and the
-    // Adam moments (dense by nature) stay here.
     std::vector<std::span<float>> spans{
         entity_embeddings_.Data(),   relation_embeddings_.Data(),
         std::span<float>(entity_bias_), conv_.weights().Data(),
         conv_.bias(),                fc_.weights().Data(),
-        fc_.bias()};
-    if (!config_.sparse_updates) {
-      spans.push_back(entity_opt.DenseAccumData());
-      spans.push_back(relation_opt.DenseAccumData());
-      spans.push_back(bias_opt.DenseAccumData());
-    }
+        fc_.bias(),                  entity_opt.AccumData(),
+        relation_opt.AccumData(),    bias_opt.AccumData()};
     for (std::span<float> s :
          {conv_w_opt.MomentMData(), conv_w_opt.MomentVData(),
           conv_b_opt.MomentMData(), conv_b_opt.MomentVData(),
@@ -368,33 +356,6 @@ Status ConvE::Train(const Dataset& dataset, Rng& rng,
     }
     return spans;
   };
-  if (config_.sparse_updates) {
-    hooks.save_sparse = [&] {
-      return ComposeSparseBlobs({entity_opt.SaveSparseState(),
-                                 relation_opt.SaveSparseState(),
-                                 bias_opt.SaveSparseState()});
-    };
-    hooks.restore_sparse = [&](const std::string& blob) {
-      std::vector<std::string> parts;
-      if (!SplitSparseBlobs(blob, 3, parts)) return false;
-      EmbeddingAdagrad probe_e = entity_opt;
-      EmbeddingAdagrad probe_r = relation_opt;
-      EmbeddingAdagrad probe_b = bias_opt;
-      if (!probe_e.RestoreSparseState(parts[0]) ||
-          !probe_r.RestoreSparseState(parts[1]) ||
-          !probe_b.RestoreSparseState(parts[2])) {
-        return false;
-      }
-      entity_opt = std::move(probe_e);
-      relation_opt = std::move(probe_r);
-      bias_opt = std::move(probe_b);
-      return true;
-    };
-    hooks.sparse_finite = [&] {
-      return entity_opt.SparseFinite() && relation_opt.SparseFinite() &&
-             bias_opt.SparseFinite();
-    };
-  }
   hooks.save_counters = [&] {
     return std::vector<uint64_t>{
         static_cast<uint64_t>(conv_w_opt.step_count()),
@@ -525,9 +486,8 @@ std::vector<float> ConvE::PostTrainMimic(const Dataset& dataset,
 
   const float lr = config_.post_training_lr > 0 ? config_.post_training_lr
                                                 : config_.learning_rate;
-  // One-row optimizer for the mimic; under sparse_updates its accumulator
-  // materializes on the first gradient (same bytes either way).
-  EmbeddingAdagrad mimic_opt(config_.sparse_updates, 1, dim, lr);
+  // One-row optimizer for the mimic.
+  RowAdagrad mimic_opt(1, dim, lr);
 
   // Every fact becomes a mimic-as-head sample, using the reciprocal
   // relation when the mimic is the fact's tail — mirroring training.

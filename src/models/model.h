@@ -83,17 +83,6 @@ struct TrainConfig {
   /// Learning rate for post-training; <= 0 means "reuse learning_rate".
   float post_training_lr = -1.0f;
 
-  /// Route embedding-table gradients through the sparse optimizers
-  /// (ml/optimizer.h, SparseRowAdagrad): per-row accumulator state
-  /// materializes lazily for touched rows instead of being allocated for
-  /// the whole table. The step arithmetic is identical, so flipping this
-  /// changes memory behavior and checkpoint layout, never parameter bytes
-  /// (sparse ≡ dense, byte for byte — asserted per model by the
-  /// equivalence suite). Dense layers (ConvE's conv/FC Adam) are
-  /// unaffected. Deliberately excluded from model-file serialization and
-  /// the train fingerprint: models trained either way are interchangeable.
-  bool sparse_updates = false;
-
   // Robustness guardrails (see ml/train_guard.h for semantics).
   /// Check the per-epoch loss proxy and all parameters/optimizer state for
   /// finiteness after every epoch. Off = no scans, no snapshots, no

@@ -275,9 +275,7 @@ Status RotatE::Train(const Dataset& dataset, Rng& rng,
 
   // Like TransE, RotatE's margin SGD holds no optimizer state beyond the
   // rows it writes: the `apply` closure above touches exactly the head,
-  // tail and phase rows of one triple, so this trainer is already sparse
-  // and TrainConfig::sparse_updates changes nothing (asserted byte-for-byte
-  // by the equivalence suite).
+  // tail and phase rows of one triple.
   GuardedTrainHooks hooks;
   hooks.params = [&] {
     return std::vector<std::span<float>>{entity_embeddings_.Data(),

@@ -215,9 +215,7 @@ Status TransE::Train(const Dataset& dataset, Rng& rng,
   const float margin = config_.margin;
 
   // TransE's SGD carries no per-row optimizer state: each step writes only
-  // the embedding rows of the triple in hand, so the trainer is already the
-  // sparse path and TrainConfig::sparse_updates is a (documented) no-op —
-  // the byte-identity suite still covers it alongside the stateful models.
+  // the embedding rows of the triple in hand.
   GuardedTrainHooks hooks;
   hooks.params = [&] {
     return std::vector<std::span<float>>{entity_embeddings_.Data(),

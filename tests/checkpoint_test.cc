@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "common/budget.h"
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "eval/evaluator.h"
+#include "ml/serialization.h"
 #include "models/factory.h"
 #include "models/model_store.h"
 #include "tests/test_util.h"
@@ -458,6 +460,50 @@ TEST_F(CheckpointCorruptionTest, ShapeMismatchDegradesToScratch) {
   Rng ref_rng(42);
   ASSERT_TRUE(reference->Train(*dataset_, ref_rng).ok());
   EXPECT_EQ(ParamsBytes(*model), ParamsBytes(*reference));
+}
+
+TEST_F(CheckpointCorruptionTest, NonEmptySparseSectionDegradesToScratch) {
+  // Builds that had a sparse optimizer mode stored its touched-row state in
+  // the v2 "sparse" section (the last one) instead of the params section.
+  // Such a file cannot resume: it must restore as a shape mismatch, and
+  // the run retrains from scratch to the reference bytes.
+  const ModelKind kind = ModelKind::kComplEx;
+  const uint64_t seed = 31;
+  const std::string ckpt = CkptDir("sparse_section");
+  TrainInterrupted(kind, seed, ckpt, /*interrupt_epoch=*/3);
+  EXPECT_EQ(RestoreOutcome(ckpt, Fingerprint(kind, seed)),
+            CheckpointRestoreOutcome::kRestored);
+
+  auto section = [](const std::string& payload) {
+    std::ostringstream out;
+    EXPECT_TRUE(WriteString(out, "sparse").ok());
+    EXPECT_TRUE(WriteU64(out, payload.size()).ok());
+    out << payload;
+    const uint32_t crc = Crc32c(payload);
+    for (int i = 0; i < 4; ++i) {
+      out.put(static_cast<char>((crc >> (8 * i)) & 0xFF));
+    }
+    return std::move(out).str();
+  };
+  const std::string file = TrainCheckpointer({ckpt}).FilePath();
+  const size_t size = std::filesystem::file_size(file);
+  Truncate(file, size - section("").size());
+  std::ostringstream blob;  // two framed per-optimizer blobs, as written
+  ASSERT_TRUE(WriteU64(blob, 2).ok());
+  ASSERT_TRUE(WriteU64(blob, 3).ok());
+  blob << "ent";
+  ASSERT_TRUE(WriteU64(blob, 3).ok());
+  blob << "rel";
+  std::ofstream(file, std::ios::binary | std::ios::app)
+      << section(std::move(blob).str());
+  EXPECT_EQ(RestoreOutcome(ckpt, Fingerprint(kind, seed)),
+            CheckpointRestoreOutcome::kShapeMismatch);
+
+  TrainCheckpointer checkpointer({ckpt});
+  auto resumed = TrainResumed(kind, seed, ckpt, &checkpointer);
+  EXPECT_EQ(checkpointer.last_restore_outcome(),
+            CheckpointRestoreOutcome::kShapeMismatch);
+  EXPECT_EQ(ParamsBytes(*resumed), ParamsBytes(*TrainReference(kind, seed)));
 }
 
 TEST_F(CheckpointCorruptionTest, UnwritableDirectoryCostsDurabilityNotTheRun) {

@@ -111,8 +111,7 @@ TEST(SgdStepTest, AppliesScaledGradient) {
 
 // ---------------------------------------------------------------------------
 // The Adagrad row steps run the simd kernels (DESIGN.md §11), and the fused
-// candidate-row entry point equals its unfused sequence in dense and sparse
-// storage alike.
+// candidate-row entry point equals its unfused sequence.
 // ---------------------------------------------------------------------------
 
 bool BitEqual(std::span<const float> a, std::span<const float> b) {
@@ -129,82 +128,72 @@ std::vector<float> RandomRow(size_t n, Rng& rng) {
 TEST(RowAdagradTest, StepSpanMatchesScalarKernelUnderLrScale) {
   constexpr size_t kCols = 37;
   Rng rng(5);
-  RowAdagrad dense(3, kCols, 0.1f);
-  SparseRowAdagrad sparse(3, kCols, 0.1f);
-  dense.set_lr_scale(0.5f);
-  sparse.set_lr_scale(0.5f);
-  std::vector<float> p_dense = RandomRow(kCols, rng);
-  std::vector<float> p_sparse = p_dense, p_ref = p_dense;
+  RowAdagrad opt(3, kCols, 0.1f);
+  opt.set_lr_scale(0.5f);
+  std::vector<float> p = RandomRow(kCols, rng);
+  std::vector<float> p_ref = p;
   std::vector<float> accum_ref(kCols, 0.0f);
   for (int step = 0; step < 3; ++step) {
     const std::vector<float> grad = RandomRow(kCols, rng);
-    dense.StepSpan(p_dense, 1, grad);
-    sparse.StepSpan(p_sparse, 1, grad);
+    opt.StepSpan(p, 1, grad);
     simd::scalar::AdagradRowStep(p_ref.data(), accum_ref.data(), grad.data(),
                                  kCols, 0.1f * 0.5f, 1e-8f);
   }
-  EXPECT_TRUE(BitEqual(p_dense, p_ref));
-  EXPECT_TRUE(BitEqual(p_sparse, p_ref));
-  EXPECT_TRUE(BitEqual(dense.AccumData().subspan(kCols, kCols), accum_ref));
+  EXPECT_TRUE(BitEqual(p, p_ref));
+  EXPECT_TRUE(BitEqual(opt.AccumData().subspan(kCols, kCols), accum_ref));
 }
 
-TEST(EmbeddingAdagradTest, StepCandidateRowEqualsStepThenAxpy) {
+TEST(RowAdagradTest, StepCandidateRowEqualsStepThenAxpy) {
   constexpr size_t kRows = 4, kCols = 21;
-  for (bool sparse : {false, true}) {
-    Rng rng(6);
-    Matrix fused(kRows, kCols), unfused(kRows, kCols);
-    for (size_t r = 0; r < kRows; ++r) {
-      const std::vector<float> row = RandomRow(kCols, rng);
-      std::copy(row.begin(), row.end(), fused.Row(r).begin());
-      std::copy(row.begin(), row.end(), unfused.Row(r).begin());
-    }
-    EmbeddingAdagrad opt_fused(sparse, kRows, kCols, 0.1f);
-    EmbeddingAdagrad opt_unfused(sparse, kRows, kCols, 0.1f);
-    opt_fused.set_lr_scale(0.25f);
-    opt_unfused.set_lr_scale(0.25f);
-    std::vector<float> out_fused(kCols, 0.0f), out_unfused(kCols, 0.0f);
-    std::vector<float> grad(kCols);
-    for (int step = 0; step < 6; ++step) {
-      const size_t row = static_cast<size_t>(step) % 3;
-      const std::vector<float> query = RandomRow(kCols, rng);
-      const float coeff = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
-      opt_fused.StepCandidateRow(fused, row, query, coeff, out_fused);
-      for (size_t i = 0; i < kCols; ++i) grad[i] = coeff * query[i];
-      opt_unfused.Step(unfused, row, grad);
-      simd::Axpy(coeff, unfused.Row(row), out_unfused);
-    }
-    EXPECT_TRUE(BitEqual(fused.Data(), unfused.Data())) << sparse;
-    EXPECT_TRUE(BitEqual(out_fused, out_unfused)) << sparse;
-    EXPECT_EQ(opt_fused.SaveSparseState(), opt_unfused.SaveSparseState());
-    EXPECT_TRUE(BitEqual(opt_fused.DenseAccumData(),
-                         opt_unfused.DenseAccumData()));
+  Rng rng(6);
+  Matrix fused(kRows, kCols), unfused(kRows, kCols);
+  for (size_t r = 0; r < kRows; ++r) {
+    const std::vector<float> row = RandomRow(kCols, rng);
+    std::copy(row.begin(), row.end(), fused.Row(r).begin());
+    std::copy(row.begin(), row.end(), unfused.Row(r).begin());
   }
+  RowAdagrad opt_fused(kRows, kCols, 0.1f);
+  RowAdagrad opt_unfused(kRows, kCols, 0.1f);
+  opt_fused.set_lr_scale(0.25f);
+  opt_unfused.set_lr_scale(0.25f);
+  std::vector<float> out_fused(kCols, 0.0f), out_unfused(kCols, 0.0f);
+  std::vector<float> grad(kCols);
+  for (int step = 0; step < 6; ++step) {
+    const size_t row = static_cast<size_t>(step) % 3;
+    const std::vector<float> query = RandomRow(kCols, rng);
+    const float coeff = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
+    opt_fused.StepCandidateRow(fused, row, query, coeff, out_fused);
+    for (size_t i = 0; i < kCols; ++i) grad[i] = coeff * query[i];
+    opt_unfused.Step(unfused, row, grad);
+    simd::Axpy(coeff, unfused.Row(row), out_unfused);
+  }
+  EXPECT_TRUE(BitEqual(fused.Data(), unfused.Data()));
+  EXPECT_TRUE(BitEqual(out_fused, out_unfused));
+  EXPECT_TRUE(BitEqual(opt_fused.AccumData(), opt_unfused.AccumData()));
 }
 
 // ---------------------------------------------------------------------------
 // Trainer byte identity: grad_clip_norm = 0 sends every plain candidate row
 // of the 1-N trainers through the fused kernel; grad_clip_norm = FLT_MAX
 // sends every row through the unfused Step + Axpy path and never clips.
-// Parameters and optimizer state must match byte for byte, dense and sparse.
+// Parameters and optimizer state must match byte for byte.
 // ---------------------------------------------------------------------------
 
 class TrainerFusedPathTest : public ::testing::TestWithParam<ModelKind> {
  protected:
   /// Everything Train() leaves behind, read back from its final checkpoint
-  /// (dense accumulators are parameter spans there, sparse ones the blob).
+  /// (the optimizer accumulators are parameter spans there).
   struct Trained {
     std::string params;
     std::vector<std::vector<float>> spans;
-    std::string sparse;
     uint64_t row_steps = 0;
     uint64_t clips = 0;
   };
 
-  static Trained Train(ModelKind kind, bool sparse, float clip) {
+  static Trained Train(ModelKind kind, float clip) {
     const Dataset dataset = testing_util::MakeToyDataset();
     TrainConfig config = testing_util::FastConfig(kind);
     config.epochs = 4;
-    config.sparse_updates = sparse;
     config.grad_clip_norm = clip;
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
@@ -236,32 +225,22 @@ class TrainerFusedPathTest : public ::testing::TestWithParam<ModelKind> {
     TrainCheckpointer reader(options);
     std::optional<CheckpointState> state = reader.TryRestore();
     EXPECT_TRUE(state.has_value());
-    if (state.has_value()) {
-      out.spans = std::move(state->params);
-      out.sparse = std::move(state->sparse);
-    }
+    if (state.has_value()) out.spans = std::move(state->params);
     std::filesystem::remove_all(dir);
     return out;
   }
 };
 
 TEST_P(TrainerFusedPathTest, FusedAndUnfusedRowStepsAreByteIdentical) {
-  for (bool sparse : {false, true}) {
-    SCOPED_TRACE(sparse ? "sparse" : "dense");
-    const Trained fused = Train(GetParam(), sparse, 0.0f);
-    const Trained unfused = Train(GetParam(), sparse, FLT_MAX);
-    EXPECT_EQ(unfused.clips, 0u);
-    EXPECT_GT(fused.row_steps, 0u);
-    EXPECT_EQ(fused.row_steps, unfused.row_steps);
-    EXPECT_TRUE(fused.params == unfused.params);
-    // Dense mode checkpoints the accumulators as spans, sparse mode in the
-    // blob.
-    ASSERT_EQ(fused.spans.size(), unfused.spans.size());
-    for (size_t i = 0; i < fused.spans.size(); ++i) {
-      EXPECT_TRUE(BitEqual(fused.spans[i], unfused.spans[i])) << "span " << i;
-    }
-    EXPECT_EQ(fused.sparse.empty(), !sparse);
-    EXPECT_TRUE(fused.sparse == unfused.sparse);
+  const Trained fused = Train(GetParam(), 0.0f);
+  const Trained unfused = Train(GetParam(), FLT_MAX);
+  EXPECT_EQ(unfused.clips, 0u);
+  EXPECT_GT(fused.row_steps, 0u);
+  EXPECT_EQ(fused.row_steps, unfused.row_steps);
+  EXPECT_TRUE(fused.params == unfused.params);
+  ASSERT_EQ(fused.spans.size(), unfused.spans.size());
+  for (size_t i = 0; i < fused.spans.size(); ++i) {
+    EXPECT_TRUE(BitEqual(fused.spans[i], unfused.spans[i])) << "span " << i;
   }
 }
 

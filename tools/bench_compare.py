@@ -11,8 +11,8 @@ Usage:
 
 Sections are matched by key: a bench_kernels run carries "kernels",
 "quant" and "score_all", a bench_serve run carries "serve" and
-"warm_cache", a bench_sparse_update run carries "sparse_update"; only the
-sections present in --current are reported. Prints a markdown delta table
+"warm_cache", a bench_update run carries "update"; only the sections
+present in --current are reported. Prints a markdown delta table
 (suitable for $GITHUB_STEP_SUMMARY) showing the current timing versus the
 committed baseline.
 
@@ -22,7 +22,7 @@ speedup — fail the run (exit 1) when current performance drops below R x
 baseline. Those numbers compare two code paths measured in the same
 process on the same machine, so runner noise largely cancels and they are
 stable enough to gate on. Wall-clock sections (serve round-trips,
-score_all, sparse_update, fig5) stay report-only under any flag: absolute
+score_all, update, fig5) stay report-only under any flag: absolute
 timings on shared runners are too noisy to gate merges on
 (EXPERIMENTS.md, "perf-smoke").
 """
@@ -163,30 +163,23 @@ def serve_rows(baseline, current, threshold):
     return rows
 
 
-def sparse_update_rows(baseline, current, threshold):
+def update_rows(baseline, current, threshold):
     def key(row):
-        return (row["name"], row.get("model", ""), row.get("mode", ""))
+        return (row["name"], row.get("model", ""))
 
-    base_by_key = {key(r): r for r in baseline.get("sparse_update", [])}
+    base_by_key = {key(r): r for r in baseline.get("update", [])}
     rows = []
-    for r in current.get("sparse_update", []):
-        parts = [r["name"]]
-        if r.get("model"):
-            parts.append(r["model"])
-        if r.get("mode"):
-            parts.append(r["mode"])
-        label = "/".join(parts)
-        extra = (f"{r['updates_per_second']:.0f} upd/s"
-                 if "updates_per_second" in r else
-                 f"{r.get('speedup_vs_retrain', 0):.1f}x vs retrain")
+    for r in current.get("update", []):
+        label = "/".join(p for p in (r["name"], r.get("model")) if p)
+        speedup = f"{r.get('speedup_vs_retrain', 0):.1f}x"
         base = base_by_key.get(key(r))
         if base is None:
-            rows.append((label, f"{r['ms']:.1f}", "-", "new", extra, ""))
+            rows.append((label, f"{r['ms']:.1f}", "-", "new", speedup, ""))
             continue
         delta, rel = fmt_delta(r["ms"], base["ms"])
         flag = ":warning:" if rel > threshold else ""
         rows.append((label, f"{r['ms']:.1f}", f"{base['ms']:.1f}", delta,
-                     extra, flag))
+                     speedup, flag))
     return rows
 
 
@@ -203,8 +196,8 @@ def compare(baseline, current, threshold, fail_below, out_path=None):
     gate = Gate(fail_below)
     if "serve" in current and "kernels" not in current:
         out = ["## Serve bench vs baseline", ""]
-    elif "sparse_update" in current and "kernels" not in current:
-        out = ["## Sparse-update bench vs baseline", ""]
+    elif "update" in current and "kernels" not in current:
+        out = ["## Update bench vs baseline", ""]
     else:
         out = ["## Kernel bench vs baseline", ""]
     if "kernels" in current:
@@ -261,12 +254,12 @@ def compare(baseline, current, threshold, fail_below, out_path=None):
               f"{w['speedup']:.1f}x", base_speedup,
               ":x:" if gated else "")]))
         out.append("")
-    if "sparse_update" in current:
-        out.append("### Sparse optimizer path & incremental updates")
+    if "update" in current:
+        out.append("### Incremental update vs full retrain")
         out.append("")
         out.append(markdown_table(
-            ("Bench", "ms", "baseline", "delta", "throughput", ""),
-            sparse_update_rows(baseline, current, threshold)))
+            ("Bench", "ms", "baseline", "delta", "vs retrain", ""),
+            update_rows(baseline, current, threshold)))
         out.append("")
     out.append(f"Rows slower than baseline by more than "
                f"{threshold:.0%} are flagged :warning:.")
@@ -359,6 +352,24 @@ def selftest():
                              "requests_per_second": 1400000}]}
     if compare(serve_base, slow_serve, 0.25, 0.85) != 0:
         failures.append("wall-clock serve section was gated")
+
+    # Nor does the update section: a slower incremental update under the
+    # flag exits 0, and its row is still reported against the baseline.
+    update_base = {"update": [
+        {"name": "incremental_update", "model": "ComplEx", "affected": 12,
+         "ms": 40.0, "speedup_vs_retrain": 50.0},
+        {"name": "full_retrain", "model": "ComplEx", "affected": 373,
+         "ms": 2000.0, "speedup_vs_retrain": 1.0}]}
+    slow_update = json.loads(json.dumps(update_base))
+    slow_update["update"][0]["ms"] = 400.0
+    slow_update["update"][0]["speedup_vs_retrain"] = 5.0
+    if compare(update_base, slow_update, 0.25, 0.85) != 0:
+        failures.append("wall-clock update section was gated")
+    rows = update_rows(update_base, slow_update, 0.25)
+    if [r[0] for r in rows] != ["incremental_update/ComplEx",
+                                "full_retrain/ComplEx"] or \
+            rows[0][-1] != ":warning:" or rows[1][-1] != "":
+        failures.append("update rows not matched against the baseline")
 
     for f in failures:
         print(f"selftest: FAIL: {f}", file=sys.stderr)

@@ -79,7 +79,8 @@ namespace kelpie {
 namespace {
 
 /// Minimal --flag value parser: flags may appear in any order; every flag
-/// takes a value except the boolean switches listed in IsSwitch.
+/// takes a value except the boolean switches listed in IsSwitch. A value
+/// never starts with "--", so a value flag cannot swallow the next flag.
 class Args {
  public:
   /// `start` is the first argv index to parse — 2 for `kelpie <cmd> ...`,
@@ -94,7 +95,8 @@ class Args {
       key = key.substr(2);
       if (IsSwitch(key)) {
         values_[key] = "1";
-      } else if (i + 1 < argc) {
+      } else if (i + 1 < argc &&
+                 std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
         error_ = "flag --" + key + " needs a value";
@@ -108,7 +110,7 @@ class Args {
            key == "per-relation" || key == "no-recover" || key == "resume" ||
            key == "retry-truncated" || key == "json" || key == "demo" ||
            key == "canonical" || key == "warm-mimics" ||
-           key == "quant-shortlist" || key == "sparse";
+           key == "quant-shortlist";
   }
 
   const std::string& error() const { return error_; }
@@ -339,10 +341,6 @@ Status CmdTrain(const Args& args) {
                   static_cast<uint64_t>(config.max_recoveries)));
   config.max_recoveries = static_cast<int>(max_recoveries);
   if (args.Has("no-recover")) config.recover_on_divergence = false;
-  // Route embedding gradients through the touched-row sparse optimizers.
-  // Byte-identical to the dense path by construction, so the flag only
-  // changes memory behavior, never the saved model.
-  if (args.Has("sparse")) config.sparse_updates = true;
   KELPIE_RETURN_IF_ERROR(ValidateConfig(kind.value(), config));
 
   auto model = CreateModel(kind.value(), *dataset, config);
@@ -1047,7 +1045,7 @@ int Usage() {
       "  train    --data DIR --model NAME --seed N --out FILE "
       "[--epochs N] [--dim N] [--grad-clip X] [--no-recover] "
       "[--max-recoveries N] [--checkpoint DIR] [--checkpoint-interval N] "
-      "[--resume] [--sparse]\n"
+      "[--resume]\n"
       "  evaluate --data DIR --model-file FILE [--no-heads] "
       "[--per-relation] [--threads N] [--metrics-out FILE] "
       "[--quant-shortlist]\n"
@@ -1129,9 +1127,6 @@ int Usage() {
       "                              checkpointed base state and run\n"
       "                              --warm-epochs N epochs (journals get a\n"
       "                              distinct warm run id)\n"
-      "  train --sparse              touched-row sparse optimizer state for\n"
-      "                              embedding gradients; byte-identical to\n"
-      "                              the dense path, O(touched rows) memory\n"
       "incremental updates:\n"
       "  kelpie update               ingest a KG delta file (lines\n"
       "                              'add<TAB>h<TAB>r<TAB>t' and\n"
