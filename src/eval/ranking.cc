@@ -196,14 +196,15 @@ int RankFromScores(std::span<const float> scores, EntityId target,
   KELPIE_CHECK(target >= 0 && static_cast<size_t>(target) < scores.size());
   const float target_score = scores[static_cast<size_t>(target)];
   int rank = 0;
+  // The score test comes first: only the entities that would count consult
+  // the filter set, which most candidates of a trained model never reach.
   for (size_t e = 0; e < scores.size(); ++e) {
-    EntityId id = static_cast<EntityId>(e);
+    if (!(scores[e] >= target_score)) continue;
+    const EntityId id = static_cast<EntityId>(e);
     if (id != target && filtered_out != nullptr && filtered_out->count(id)) {
       continue;
     }
-    if (scores[e] >= target_score) {
-      ++rank;
-    }
+    ++rank;
   }
   return rank;
 }

@@ -15,8 +15,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -24,18 +22,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) {
     s = SplitMix64(sm);
   }
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::UniformUint64(uint64_t bound) {
@@ -59,10 +45,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   KELPIE_CHECK(lo <= hi);
   uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(UniformUint64(span));
-}
-
-double Rng::UniformDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::UniformDouble(double lo, double hi) {
@@ -89,8 +71,6 @@ double Rng::Normal() {
 double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
-
-bool Rng::Bernoulli(double p) { return UniformDouble() < p; }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t population,
                                                   size_t count) {

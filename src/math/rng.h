@@ -33,8 +33,19 @@ class Rng {
   /// Seeds the generator; identical seeds yield identical streams.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Next raw 64-bit value.
-  uint64_t NextUint64();
+  /// Next raw 64-bit value. Inline, like UniformDouble() and Bernoulli():
+  /// the ConvE dropout masks draw one per activation.
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be > 0. Uses rejection
   /// sampling (Lemire) to avoid modulo bias.
@@ -44,7 +55,9 @@ class Rng {
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Uniform double in [0, 1).
-  double UniformDouble();
+  double UniformDouble() {
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double UniformDouble(double lo, double hi);
@@ -56,7 +69,7 @@ class Rng {
   double Normal(double mean, double stddev);
 
   /// Bernoulli draw with probability `p` of true.
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) { return UniformDouble() < p; }
 
   /// Fisher–Yates shuffle of `values`.
   template <typename T>
@@ -84,6 +97,10 @@ class Rng {
   void LoadState(const RngState& state);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -1,6 +1,8 @@
 #include "math/simd.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -49,6 +51,42 @@ void AxpyRowsColumns(const float* matrix, size_t rows, size_t stride,
     const float* row = matrix + r * stride;
     for (size_t i = begin; i < end; ++i) {
       out[i] += c * row[i];
+    }
+  }
+}
+
+/// The reference convolution backward over channels [oc_begin, oc_end):
+/// scalar::Conv2dBackward, and the vector backends' weight/bias gradient
+/// for the channels left over after their full-register channel blocks.
+void Conv2dBackwardChannels(const ConvShape& shape, size_t oc_begin,
+                            size_t oc_end, const float* input,
+                            const float* weights, const float* grad_output,
+                            float* grad_weights, float* grad_bias,
+                            float* grad_input) {
+  const size_t oh = shape.out_h();
+  const size_t ow = shape.out_w();
+  const size_t taps = shape.taps();
+  for (size_t oc = oc_begin; oc < oc_end; ++oc) {
+    const float* kernel = weights + oc * taps;
+    const float* g_map = grad_output + oc * oh * ow;
+    for (size_t y = 0; y < oh; ++y) {
+      for (size_t x = 0; x < ow; ++x) {
+        const float g = g_map[y * ow + x];
+        if (g == 0.0f) continue;
+        if (grad_bias != nullptr) grad_bias[oc] += g;
+        for (size_t ky = 0; ky < shape.kernel_h; ++ky) {
+          const size_t in_off = (y + ky) * shape.in_w + x;
+          const size_t k_off = ky * shape.kernel_w;
+          for (size_t kx = 0; kx < shape.kernel_w; ++kx) {
+            if (grad_weights != nullptr) {
+              grad_weights[oc * taps + k_off + kx] += g * input[in_off + kx];
+            }
+            if (grad_input != nullptr) {
+              grad_input[in_off + kx] += g * kernel[k_off + kx];
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -145,6 +183,56 @@ void AdagradCandidateRowStep(float* param, float* accum, const float* query,
     param[i] -= lr * g / (std::sqrt(accum[i]) + eps);
     out[i] += coeff * param[i];
   }
+}
+
+void Mul(std::span<float> x, std::span<const float> y) {
+  KELPIE_DCHECK(x.size() == y.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] *= y[i];
+  }
+}
+
+void ReluInPlace(float* x, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (x[i] < 0.0f) x[i] = 0.0f;
+  }
+}
+
+void ReluBackward(const float* activations, float* grad, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (activations[i] <= 0.0f) grad[i] = 0.0f;
+  }
+}
+
+void Conv2dForward(const ConvShape& shape, const float* input,
+                   const float* weights, const float* bias, float* output) {
+  const size_t oh = shape.out_h();
+  const size_t ow = shape.out_w();
+  size_t out_idx = 0;
+  for (size_t oc = 0; oc < shape.channels; ++oc) {
+    const float* kernel = weights + oc * shape.taps();
+    for (size_t y = 0; y < oh; ++y) {
+      for (size_t x = 0; x < ow; ++x) {
+        float acc = bias[oc];
+        for (size_t ky = 0; ky < shape.kernel_h; ++ky) {
+          const float* in_row = input + (y + ky) * shape.in_w + x;
+          const float* k_row = kernel + ky * shape.kernel_w;
+          for (size_t kx = 0; kx < shape.kernel_w; ++kx) {
+            acc += k_row[kx] * in_row[kx];
+          }
+        }
+        output[out_idx++] = acc;
+      }
+    }
+  }
+}
+
+void Conv2dBackward(const ConvShape& shape, const float* input,
+                    const float* weights, const float* grad_output,
+                    float* grad_weights, float* grad_bias,
+                    float* grad_input) {
+  Conv2dBackwardChannels(shape, 0, shape.channels, input, weights,
+                         grad_output, grad_weights, grad_bias, grad_input);
 }
 
 }  // namespace scalar
@@ -638,6 +726,298 @@ constexpr AxpyRowsBlockFn kAxpyRowsBlocks[] = {
 #endif  // KELPIE_SIMD_BACKEND == 1
 
 // ---------------------------------------------------------------------------
+// Network kernels (Mul, ReLU, convolution), written once over the register
+// ops of the active vector backend.
+// ---------------------------------------------------------------------------
+
+#if KELPIE_SIMD_BACKEND > 0
+
+namespace {
+namespace net {
+
+#if KELPIE_SIMD_BACKEND == 2
+/// The register ops the kernels below are written in: one 256-bit register.
+struct V {
+  using T = __m256;
+  static constexpr size_t kWidth = 8;
+  static T Load(const float* p) { return _mm256_loadu_ps(p); }
+  static void Store(float* p, T v) { _mm256_storeu_ps(p, v); }
+  static T Set1(float x) { return _mm256_set1_ps(x); }
+  static T Add(T a, T b) { return _mm256_add_ps(a, b); }
+  static T Mul(T a, T b) { return _mm256_mul_ps(a, b); }
+  /// All-ones where v is not ±0, NaN included: the reference's `g != 0`.
+  static T NonZero(T v) {
+    return _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_NEQ_UQ);
+  }
+  /// All-ones where v < 0 (false for -0 and NaN).
+  static T Negative(T v) {
+    return _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_LT_OQ);
+  }
+  /// All-ones where v <= 0 (false for NaN).
+  static T NotPositive(T v) {
+    return _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_LE_OQ);
+  }
+  /// mask ? a : b.
+  static T Select(T mask, T a, T b) { return _mm256_blendv_ps(b, a, mask); }
+  /// mask ? +0 : v.
+  static T ZeroWhere(T mask, T v) { return _mm256_andnot_ps(mask, v); }
+};
+#else
+/// The register ops the kernels below are written in: one 128-bit register.
+struct V {
+  using T = __m128;
+  static constexpr size_t kWidth = 4;
+  static T Load(const float* p) { return _mm_loadu_ps(p); }
+  static void Store(float* p, T v) { _mm_storeu_ps(p, v); }
+  static T Set1(float x) { return _mm_set1_ps(x); }
+  static T Add(T a, T b) { return _mm_add_ps(a, b); }
+  static T Mul(T a, T b) { return _mm_mul_ps(a, b); }
+  static T NonZero(T v) { return _mm_cmpneq_ps(v, _mm_setzero_ps()); }
+  static T Negative(T v) { return _mm_cmplt_ps(v, _mm_setzero_ps()); }
+  static T NotPositive(T v) { return _mm_cmple_ps(v, _mm_setzero_ps()); }
+  static T Select(T mask, T a, T b) {
+    return _mm_or_ps(_mm_and_ps(mask, a), _mm_andnot_ps(mask, b));
+  }
+  static T ZeroWhere(T mask, T v) { return _mm_andnot_ps(mask, v); }
+};
+#endif
+
+using T = V::T;
+constexpr size_t kW = V::kWidth;
+
+/// acc + term in the lanes where `g` is not ±0, acc unchanged elsewhere:
+/// the skipped lanes add -0, and x + -0 is x for every x (signed zeros and
+/// NaN included, under the default rounding mode), so a skipped term never
+/// turns -0 into +0. Masking the term, not the sum, keeps the select off
+/// the accumulator's dependency chain.
+inline T MaskedAdd(T acc, T g, T term) {
+  return V::Add(acc, V::Select(V::NonZero(g), term, V::Set1(-0.0f)));
+}
+
+void Mul(float* x, const float* y, size_t n) {
+  size_t i = 0;
+  for (; i + kW <= n; i += kW) {
+    V::Store(x + i, V::Mul(V::Load(x + i), V::Load(y + i)));
+  }
+  scalar::Mul(std::span<float>(x + i, n - i),
+              std::span<const float>(y + i, n - i));
+}
+
+void ReluInPlace(float* x, size_t n) {
+  size_t i = 0;
+  for (; i + kW <= n; i += kW) {
+    const T v = V::Load(x + i);
+    V::Store(x + i, V::ZeroWhere(V::Negative(v), v));
+  }
+  scalar::ReluInPlace(x + i, n - i);
+}
+
+void ReluBackward(const float* activations, float* grad, size_t n) {
+  size_t i = 0;
+  for (; i + kW <= n; i += kW) {
+    V::Store(grad + i, V::ZeroWhere(V::NotPositive(V::Load(activations + i)),
+                                    V::Load(grad + i)));
+  }
+  scalar::ReluBackward(activations + i, grad + i, n - i);
+}
+
+/// Forward across output positions. The flat input index t = y*in_w + x
+/// of output (y, x) reads input[t + ky*in_w + kx] for tap (ky, kx), so kW
+/// consecutive t share every tap's load; lanes with x >= out_w compute
+/// values that are dropped when the rows are copied out. Four registers go
+/// at a time, so the nine-deep add chains of a 3x3 kernel overlap.
+void Conv2dForward(const ConvShape& shape, const float* input,
+                   const float* weights, const float* bias, float* output) {
+  const size_t oh = shape.out_h();
+  const size_t ow = shape.out_w();
+  const size_t span = (oh - 1) * shape.in_w + ow;
+  if (span < kW) {
+    scalar::Conv2dForward(shape, input, weights, bias, output);
+    return;
+  }
+  thread_local std::vector<float> flat;
+  flat.resize(span);
+  // A register that would pass the end of the span is shifted back to end
+  // at it; the lanes it shares with another register get the same values.
+  auto start = [&](size_t t) { return std::min(t, span - kW); };
+  for (size_t oc = 0; oc < shape.channels; ++oc) {
+    const float* kernel = weights + oc * shape.taps();
+    for (size_t t0 = 0; t0 < span; t0 += 4 * kW) {
+      const size_t t[4] = {start(t0), start(t0 + kW), start(t0 + 2 * kW),
+                           start(t0 + 3 * kW)};
+      T acc0 = V::Set1(bias[oc]);
+      T acc1 = acc0, acc2 = acc0, acc3 = acc0;
+      for (size_t ky = 0; ky < shape.kernel_h; ++ky) {
+        const float* k_row = kernel + ky * shape.kernel_w;
+        for (size_t kx = 0; kx < shape.kernel_w; ++kx) {
+          const T w = V::Set1(k_row[kx]);
+          const float* in = input + ky * shape.in_w + kx;
+          acc0 = V::Add(acc0, V::Mul(w, V::Load(in + t[0])));
+          acc1 = V::Add(acc1, V::Mul(w, V::Load(in + t[1])));
+          acc2 = V::Add(acc2, V::Mul(w, V::Load(in + t[2])));
+          acc3 = V::Add(acc3, V::Mul(w, V::Load(in + t[3])));
+        }
+      }
+      V::Store(flat.data() + t[0], acc0);
+      V::Store(flat.data() + t[1], acc1);
+      V::Store(flat.data() + t[2], acc2);
+      V::Store(flat.data() + t[3], acc3);
+    }
+    float* out = output + oc * oh * ow;
+    for (size_t y = 0; y < oh; ++y) {
+      const float* row = flat.data() + y * shape.in_w;
+      for (size_t x = 0; x < ow; ++x) *out++ = row[x];
+    }
+  }
+}
+
+/// Weight and bias gradients across kW channels at a time: lane l is
+/// channel oc0 + l's accumulator and takes the positions in ascending
+/// order, like the reference.
+void Conv2dWeightGrads(const ConvShape& shape, size_t oc0, const float* input,
+                       const float* grad_output, float* grad_weights,
+                       float* grad_bias) {
+  const size_t oh = shape.out_h();
+  const size_t ow = shape.out_w();
+  const size_t positions = oh * ow;
+  const size_t taps = shape.taps();
+  // grad_output of the block, transposed to positions x kW.
+  thread_local std::vector<float> g_t;
+  g_t.resize(positions * kW);
+  for (size_t l = 0; l < kW; ++l) {
+    const float* g_map = grad_output + (oc0 + l) * positions;
+    for (size_t p = 0; p < positions; ++p) g_t[p * kW + l] = g_map[p];
+  }
+  if (grad_bias != nullptr) {
+    T acc = V::Load(grad_bias + oc0);
+    for (size_t p = 0; p < positions; ++p) {
+      const T g = V::Load(g_t.data() + p * kW);
+      acc = MaskedAdd(acc, g, g);
+    }
+    V::Store(grad_bias + oc0, acc);
+  }
+  if (grad_weights == nullptr) return;
+  // kTaps taps at a time, one accumulator each, so the adds of different
+  // taps overlap; a short last block repeats its last tap and drops it.
+  constexpr size_t kTaps = 3;
+  alignas(32) float lanes[kW];
+  for (size_t k0 = 0; k0 < taps; k0 += kTaps) {
+    T acc[kTaps];
+    size_t k_off[kTaps];
+#pragma GCC unroll 3
+    for (size_t b = 0; b < kTaps; ++b) {
+      const size_t k = std::min(k0 + b, taps - 1);
+      k_off[b] = (k / shape.kernel_w) * shape.in_w + k % shape.kernel_w;
+      for (size_t l = 0; l < kW; ++l) {
+        lanes[l] = grad_weights[(oc0 + l) * taps + k];
+      }
+      acc[b] = V::Load(lanes);
+    }
+    const float* g = g_t.data();
+    for (size_t y = 0; y < oh; ++y) {
+      const float* in = input + y * shape.in_w;
+      for (size_t x = 0; x < ow; ++x, g += kW) {
+        const T gv = V::Load(g);
+#pragma GCC unroll 3
+        for (size_t b = 0; b < kTaps; ++b) {
+          acc[b] = MaskedAdd(acc[b], gv, V::Mul(gv, V::Set1(in[x + k_off[b]])));
+        }
+      }
+    }
+    for (size_t b = 0; b < kTaps && k0 + b < taps; ++b) {
+      V::Store(lanes, acc[b]);
+      for (size_t l = 0; l < kW; ++l) {
+        grad_weights[(oc0 + l) * taps + k0 + b] = lanes[l];
+      }
+    }
+  }
+}
+
+/// Input gradient across flat input positions j, four registers of kW at
+/// a time, held in registers while every term arrives in the reference
+/// order: oc ascending, then (ky, kx) descending. Each channel's
+/// grad_output is laid out on the input grid, g_pad[lo + y*in_w + x], with
+/// zeros elsewhere, so tap (ky, kx) of position j reads
+/// g_pad[lo + j - ky*in_w - kx]; positions outside the map read zero and
+/// are skipped.
+void Conv2dInputGrad(const ConvShape& shape, const float* weights,
+                     const float* grad_output, float* grad_input) {
+  constexpr size_t kBlock = 4 * kW;
+  const size_t oh = shape.out_h();
+  const size_t ow = shape.out_w();
+  const size_t taps = shape.taps();
+  const size_t n = shape.in_h * shape.in_w;
+  const size_t n_pad = (n + kBlock - 1) / kBlock * kBlock;
+  const size_t lo = (shape.kernel_h - 1) * shape.in_w + shape.kernel_w - 1;
+  const size_t row = lo + n_pad;
+  thread_local std::vector<float> g_pad, gi;
+  g_pad.assign(shape.channels * row, 0.0f);
+  for (size_t oc = 0; oc < shape.channels; ++oc) {
+    for (size_t y = 0; y < oh; ++y) {
+      const float* g_row = grad_output + (oc * oh + y) * ow;
+      float* pad_row = g_pad.data() + oc * row + lo + y * shape.in_w;
+      for (size_t x = 0; x < ow; ++x) pad_row[x] = g_row[x];
+    }
+  }
+  gi.resize(n_pad);
+  std::copy_n(grad_input, n, gi.begin());
+  for (size_t j0 = 0; j0 < n_pad; j0 += kBlock) {
+    // Four named accumulators (not an array) so they stay in registers.
+    float* block = gi.data() + j0;
+    T acc0 = V::Load(block);
+    T acc1 = V::Load(block + kW);
+    T acc2 = V::Load(block + 2 * kW);
+    T acc3 = V::Load(block + 3 * kW);
+    for (size_t oc = 0; oc < shape.channels; ++oc) {
+      const float* kernel = weights + oc * taps;
+      const float* g_at = g_pad.data() + oc * row + lo + j0;
+      for (size_t ky = shape.kernel_h; ky-- > 0;) {
+        for (size_t kx = shape.kernel_w; kx-- > 0;) {
+          const T w = V::Set1(kernel[ky * shape.kernel_w + kx]);
+          const float* g_tap = g_at - ky * shape.in_w - kx;
+          const T g0 = V::Load(g_tap);
+          const T g1 = V::Load(g_tap + kW);
+          const T g2 = V::Load(g_tap + 2 * kW);
+          const T g3 = V::Load(g_tap + 3 * kW);
+          acc0 = MaskedAdd(acc0, g0, V::Mul(g0, w));
+          acc1 = MaskedAdd(acc1, g1, V::Mul(g1, w));
+          acc2 = MaskedAdd(acc2, g2, V::Mul(g2, w));
+          acc3 = MaskedAdd(acc3, g3, V::Mul(g3, w));
+        }
+      }
+    }
+    V::Store(block, acc0);
+    V::Store(block + kW, acc1);
+    V::Store(block + 2 * kW, acc2);
+    V::Store(block + 3 * kW, acc3);
+  }
+  std::copy_n(gi.begin(), n, grad_input);
+}
+
+void Conv2dBackward(const ConvShape& shape, const float* input,
+                    const float* weights, const float* grad_output,
+                    float* grad_weights, float* grad_bias,
+                    float* grad_input) {
+  if (grad_weights != nullptr || grad_bias != nullptr) {
+    size_t oc0 = 0;
+    for (; oc0 + kW <= shape.channels; oc0 += kW) {
+      Conv2dWeightGrads(shape, oc0, input, grad_output, grad_weights,
+                        grad_bias);
+    }
+    Conv2dBackwardChannels(shape, oc0, shape.channels, input, weights,
+                           grad_output, grad_weights, grad_bias, nullptr);
+  }
+  if (grad_input != nullptr) {
+    Conv2dInputGrad(shape, weights, grad_output, grad_input);
+  }
+}
+
+}  // namespace net
+}  // namespace
+
+#endif  // KELPIE_SIMD_BACKEND > 0
+
+// ---------------------------------------------------------------------------
 // Dispatch (resolved at compile time).
 // ---------------------------------------------------------------------------
 
@@ -812,6 +1192,53 @@ void AdagradCandidateRowStep(float* param, float* accum, const float* query,
 #else
   scalar::AdagradCandidateRowStep(param, accum, query, coeff, n, lr, eps,
                                   out);
+#endif
+}
+
+void Mul(std::span<float> x, std::span<const float> y) {
+  KELPIE_DCHECK(x.size() == y.size());
+#if KELPIE_SIMD_BACKEND > 0
+  net::Mul(x.data(), y.data(), x.size());
+#else
+  scalar::Mul(x, y);
+#endif
+}
+
+void ReluInPlace(float* x, size_t n) {
+#if KELPIE_SIMD_BACKEND > 0
+  net::ReluInPlace(x, n);
+#else
+  scalar::ReluInPlace(x, n);
+#endif
+}
+
+void ReluBackward(const float* activations, float* grad, size_t n) {
+#if KELPIE_SIMD_BACKEND > 0
+  net::ReluBackward(activations, grad, n);
+#else
+  scalar::ReluBackward(activations, grad, n);
+#endif
+}
+
+void Conv2dForward(const ConvShape& shape, const float* input,
+                   const float* weights, const float* bias, float* output) {
+#if KELPIE_SIMD_BACKEND > 0
+  net::Conv2dForward(shape, input, weights, bias, output);
+#else
+  scalar::Conv2dForward(shape, input, weights, bias, output);
+#endif
+}
+
+void Conv2dBackward(const ConvShape& shape, const float* input,
+                    const float* weights, const float* grad_output,
+                    float* grad_weights, float* grad_bias,
+                    float* grad_input) {
+#if KELPIE_SIMD_BACKEND > 0
+  net::Conv2dBackward(shape, input, weights, grad_output, grad_weights,
+                      grad_bias, grad_input);
+#else
+  scalar::Conv2dBackward(shape, input, weights, grad_output, grad_weights,
+                         grad_bias, grad_input);
 #endif
 }
 

@@ -90,6 +90,42 @@ void AdagradCandidateRowStep(float* param, float* accum, const float* query,
                              float coeff, size_t n, float lr, float eps,
                              float* out);
 
+/// x[i] *= y[i] (equal lengths): the dropout mask pass.
+void Mul(std::span<float> x, std::span<const float> y);
+
+/// ReLU in place: x[i] = +0 where x[i] < 0. -0.0 and NaN pass through
+/// unchanged, exactly as `if (v < 0) v = 0` leaves them.
+void ReluInPlace(float* x, size_t n);
+
+/// ReLU backward from the activations: grad[i] = +0 where
+/// activations[i] <= 0 (NaN activations keep their gradient).
+void ReluBackward(const float* activations, float* grad, size_t n);
+
+/// Shape of a single-input-channel 'valid' convolution (ml/conv2d.h):
+/// an in_h x in_w image, `channels` kernels of kernel_h x kernel_w.
+struct ConvShape {
+  size_t in_h = 0, in_w = 0, kernel_h = 0, kernel_w = 0, channels = 0;
+  size_t out_h() const { return in_h - kernel_h + 1; }
+  size_t out_w() const { return in_w - kernel_w + 1; }
+  size_t taps() const { return kernel_h * kernel_w; }
+};
+
+/// Convolution forward, channel-major output (DESIGN.md §11.5):
+///   out[oc][y][x] = b[oc], then += w[oc][ky][kx] * in[y+ky][x+kx] for the
+///   taps in (ky, kx) ascending order, each a separately rounded
+///   mul-then-add. `weights` is channels x taps, row-major.
+void Conv2dForward(const ConvShape& shape, const float* input,
+                   const float* weights, const float* bias, float* output);
+
+/// Convolution backward; adds into any non-null gradient output. Terms with
+/// grad_output exactly ±0 are skipped (never added as ±0). Per element:
+/// grad_weights[oc][k] and grad_bias[oc] take their terms over (y, x)
+/// ascending; grad_input[j] takes them over oc ascending, then (y, x)
+/// ascending, i.e. (ky, kx) descending.
+void Conv2dBackward(const ConvShape& shape, const float* input,
+                    const float* weights, const float* grad_output,
+                    float* grad_weights, float* grad_bias, float* grad_input);
+
 /// Reference implementations of every kernel above, written directly
 /// against the lane contract with plain scalar code. Always compiled —
 /// the dispatching kernels must match them bit for bit on any backend
@@ -111,6 +147,14 @@ void AdagradRowStep(float* param, float* accum, const float* grad, size_t n,
 void AdagradCandidateRowStep(float* param, float* accum, const float* query,
                              float coeff, size_t n, float lr, float eps,
                              float* out);
+void Mul(std::span<float> x, std::span<const float> y);
+void ReluInPlace(float* x, size_t n);
+void ReluBackward(const float* activations, float* grad, size_t n);
+void Conv2dForward(const ConvShape& shape, const float* input,
+                   const float* weights, const float* bias, float* output);
+void Conv2dBackward(const ConvShape& shape, const float* input,
+                    const float* weights, const float* grad_output,
+                    float* grad_weights, float* grad_bias, float* grad_input);
 }  // namespace scalar
 
 }  // namespace simd

@@ -42,6 +42,25 @@ metrics::Counter& RestoreCounter(std::string_view outcome) {
       "Training checkpoint restore attempts by outcome.");
 }
 
+/// The `outcome` label of kelpie_checkpoint_restore_total.
+std::string_view RestoreOutcomeLabel(CheckpointRestoreOutcome outcome) {
+  switch (outcome) {
+    case CheckpointRestoreOutcome::kNotAttempted:
+      return "not_attempted";
+    case CheckpointRestoreOutcome::kNoFile:
+      return "no_file";
+    case CheckpointRestoreOutcome::kRestored:
+      return "restored";
+    case CheckpointRestoreOutcome::kCorrupt:
+      return "corrupt";
+    case CheckpointRestoreOutcome::kStaleConfig:
+      return "stale_config";
+    case CheckpointRestoreOutcome::kShapeMismatch:
+      return "shape_mismatch";
+  }
+  return "unknown";
+}
+
 Status WriteF32Bits(std::ostream& out, float v) {
   return WriteU64(out, std::bit_cast<uint32_t>(v));
 }
@@ -262,7 +281,8 @@ bool TrainCheckpointer::ShouldSave(uint64_t completed_epochs) const {
   return saves_enabled() && completed_epochs % options_.interval_epochs == 0;
 }
 
-std::optional<CheckpointState> TrainCheckpointer::TryRestore() {
+std::optional<CheckpointState> TrainCheckpointer::TryRestore(
+    const CheckpointShape* shape) {
   restored_epoch_ = 0;
   if (!options_.resume) {
     outcome_ = CheckpointRestoreOutcome::kNotAttempted;
@@ -271,8 +291,7 @@ std::optional<CheckpointState> TrainCheckpointer::TryRestore() {
   const std::string path = FilePath();
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    outcome_ = CheckpointRestoreOutcome::kNoFile;
-    RestoreCounter("no_file").Increment();
+    Record(CheckpointRestoreOutcome::kNoFile);
     return std::nullopt;
   }
   std::ostringstream buf;
@@ -284,11 +303,7 @@ std::optional<CheckpointState> TrainCheckpointer::TryRestore() {
   // writer preserved), never a hard failure.
   auto degrade = [&](CheckpointRestoreOutcome outcome,
                      const std::string& why) -> std::optional<CheckpointState> {
-    outcome_ = outcome;
-    RestoreCounter(outcome == CheckpointRestoreOutcome::kStaleConfig
-                       ? "stale_config"
-                       : "corrupt")
-        .Increment();
+    Record(outcome);
     KELPIE_LOG(Warning) << "checkpoint " << path << ": " << why
                         << "; restarting training from scratch";
     return std::nullopt;
@@ -333,18 +348,32 @@ std::optional<CheckpointState> TrainCheckpointer::TryRestore() {
     return degrade(CheckpointRestoreOutcome::kCorrupt, parsed.ToString());
   }
   if (is_v2 && !section.empty()) {
-    NoteShapeMismatch();
-    KELPIE_LOG(Warning) << "checkpoint " << path
-                        << ": holds sparse optimizer state, which this "
-                        << "build cannot resume; restarting training from "
-                        << "scratch";
-    return std::nullopt;
+    return degrade(CheckpointRestoreOutcome::kShapeMismatch,
+                   "holds sparse optimizer state, which this build cannot "
+                   "resume");
+  }
+  if (shape != nullptr) {
+    bool shapes_ok = state.params.size() == shape->param_sizes.size();
+    for (size_t i = 0; shapes_ok && i < state.params.size(); ++i) {
+      shapes_ok = state.params[i].size() == shape->param_sizes[i];
+    }
+    if (shapes_ok && shape->counters.has_value()) {
+      shapes_ok = state.counters.size() == *shape->counters;
+    }
+    if (!shapes_ok) {
+      return degrade(CheckpointRestoreOutcome::kShapeMismatch,
+                     "parameter shapes disagree with this model");
+    }
   }
 
-  outcome_ = CheckpointRestoreOutcome::kRestored;
+  Record(CheckpointRestoreOutcome::kRestored);
   restored_epoch_ = state.next_epoch;
-  RestoreCounter("restored").Increment();
   return state;
+}
+
+void TrainCheckpointer::Record(CheckpointRestoreOutcome outcome) {
+  outcome_ = outcome;
+  RestoreCounter(RestoreOutcomeLabel(outcome)).Increment();
 }
 
 Status TrainCheckpointer::Save(const CheckpointState& state) {

@@ -115,6 +115,14 @@ struct CheckpointState {
   std::vector<std::vector<float>> params;
 };
 
+/// The live trainer's layout a checkpoint must match to be restored.
+struct CheckpointShape {
+  /// Float count of each hooks.params() span, in order.
+  std::vector<size_t> param_sizes;
+  /// Optimizer counter count, when the trainer checkpoints counters.
+  std::optional<size_t> counters;
+};
+
 /// Serializer/deserializer for one training run's checkpoint file. Owned by
 /// the caller (CLI, xp pipeline) and handed to Train() via TrainControl;
 /// the guard drives TryRestore/Save at the right boundaries.
@@ -129,9 +137,14 @@ class TrainCheckpointer {
   /// Loads and validates the checkpoint file. Returns std::nullopt — never
   /// an error — when resume was not requested, the file is missing, any
   /// section fails its CRC or bounds (torn tail, bit flip, partial
-  /// section), or the fingerprint is stale; the outcome is recorded for
-  /// last_restore_outcome() and a warning is logged for the degradations.
-  std::optional<CheckpointState> TryRestore();
+  /// section), or the fingerprint is stale, and — when `shape` is given —
+  /// when the parameter spans or counters disagree with it (or the file
+  /// holds a non-empty "sparse" section): kShapeMismatch. The outcome is
+  /// recorded for last_restore_outcome(), every attempt counts exactly one
+  /// kelpie_checkpoint_restore_total{outcome} increment, and a warning is
+  /// logged for the degradations.
+  std::optional<CheckpointState> TryRestore(
+      const CheckpointShape* shape = nullptr);
 
   /// True when the guard should persist after `completed_epochs` commits
   /// (interval boundary). Recovery/cancel/final saves bypass this.
@@ -150,15 +163,10 @@ class TrainCheckpointer {
   /// next_epoch of the restored state (0 unless outcome is kRestored).
   uint64_t restored_epoch() const { return restored_epoch_; }
 
-  /// The guard reports a span-shape disagreement between restored state and
-  /// the live trainer (degrades to scratch). TryRestore records the same
-  /// outcome for a file with a non-empty "sparse" section.
-  void NoteShapeMismatch() {
-    outcome_ = CheckpointRestoreOutcome::kShapeMismatch;
-    restored_epoch_ = 0;
-  }
-
  private:
+  /// Sets last_restore_outcome() and counts the attempt under its label.
+  void Record(CheckpointRestoreOutcome outcome);
+
   CheckpointOptions options_;
   CheckpointRestoreOutcome outcome_ = CheckpointRestoreOutcome::kNotAttempted;
   uint64_t restored_epoch_ = 0;

@@ -1,5 +1,7 @@
 #include "ml/conv2d.h"
 
+#include <limits>
+
 #include "common/logging.h"
 #include "math/simd.h"
 #include "math/vec.h"
@@ -27,30 +29,16 @@ void Conv2d::Init(Rng& rng) {
   std::fill(bias_.begin(), bias_.end(), 0.0f);
 }
 
+simd::ConvShape Conv2d::Shape() const {
+  return {in_h_, in_w_, kernel_h_, kernel_w_, out_channels_};
+}
+
 void Conv2d::Forward(std::span<const float> input,
                      std::span<float> output) const {
   KELPIE_DCHECK(input.size() == in_h_ * in_w_);
   KELPIE_DCHECK(output.size() == OutputSize());
-  const size_t oh = out_h();
-  const size_t ow = out_w();
-  size_t out_idx = 0;
-  for (size_t oc = 0; oc < out_channels_; ++oc) {
-    std::span<const float> kernel = weights_.Row(oc);
-    const float b = bias_[oc];
-    for (size_t y = 0; y < oh; ++y) {
-      for (size_t x = 0; x < ow; ++x) {
-        float acc = b;
-        for (size_t ky = 0; ky < kernel_h_; ++ky) {
-          const float* in_row = input.data() + (y + ky) * in_w_ + x;
-          const float* k_row = kernel.data() + ky * kernel_w_;
-          for (size_t kx = 0; kx < kernel_w_; ++kx) {
-            acc += k_row[kx] * in_row[kx];
-          }
-        }
-        output[out_idx++] = acc;
-      }
-    }
-  }
+  simd::Conv2dForward(Shape(), input.data(), weights_.Data().data(),
+                      bias_.data(), output.data());
 }
 
 void Conv2d::Backward(std::span<const float> input,
@@ -60,34 +48,12 @@ void Conv2d::Backward(std::span<const float> input,
                       std::span<float> grad_input) const {
   KELPIE_DCHECK(input.size() == in_h_ * in_w_);
   KELPIE_DCHECK(grad_output.size() == OutputSize());
-  const size_t oh = out_h();
-  const size_t ow = out_w();
-  const size_t ksize = kernel_h_ * kernel_w_;
-  size_t out_idx = 0;
-  for (size_t oc = 0; oc < out_channels_; ++oc) {
-    std::span<const float> kernel = weights_.Row(oc);
-    for (size_t y = 0; y < oh; ++y) {
-      for (size_t x = 0; x < ow; ++x) {
-        const float g = grad_output[out_idx++];
-        if (g == 0.0f) continue;
-        if (!grad_bias.empty()) {
-          grad_bias[oc] += g;
-        }
-        for (size_t ky = 0; ky < kernel_h_; ++ky) {
-          const size_t in_off = (y + ky) * in_w_ + x;
-          const size_t k_off = ky * kernel_w_;
-          for (size_t kx = 0; kx < kernel_w_; ++kx) {
-            if (!grad_weights.empty()) {
-              grad_weights[oc * ksize + k_off + kx] += g * input[in_off + kx];
-            }
-            if (!grad_input.empty()) {
-              grad_input[in_off + kx] += g * kernel[k_off + kx];
-            }
-          }
-        }
-      }
-    }
-  }
+  auto or_null = [](std::span<float> s) {
+    return s.empty() ? nullptr : s.data();
+  };
+  simd::Conv2dBackward(Shape(), input.data(), weights_.Data().data(),
+                       grad_output.data(), or_null(grad_weights),
+                       or_null(grad_bias), or_null(grad_input));
 }
 
 DenseLayer::DenseLayer(size_t in_size, size_t out_size)
@@ -122,35 +88,30 @@ void DenseLayer::Backward(std::span<const float> input,
                           std::span<float> grad_bias,
                           std::span<float> grad_input) const {
   KELPIE_DCHECK(grad_output.size() == out_size_);
-  for (size_t o = 0; o < out_size_; ++o) {
-    const float g = grad_output[o];
-    if (g == 0.0f) continue;
-    if (!grad_bias.empty()) {
-      grad_bias[o] += g;
-    }
-    std::span<const float> w_row = weights_.Row(o);
-    for (size_t i = 0; i < in_size_; ++i) {
+  if (!grad_weights.empty() || !grad_bias.empty()) {
+    for (size_t o = 0; o < out_size_; ++o) {
+      const float g = grad_output[o];
+      if (g == 0.0f) continue;
+      if (!grad_bias.empty()) grad_bias[o] += g;
       if (!grad_weights.empty()) {
-        grad_weights[o * in_size_ + i] += g * input[i];
-      }
-      if (!grad_input.empty()) {
-        grad_input[i] += g * w_row[i];
+        simd::Axpy(g, input, grad_weights.subspan(o * in_size_, in_size_));
       }
     }
+  }
+  if (!grad_input.empty()) {
+    // grad_input += g[o] * W[o] over o ascending, skipping exactly the
+    // g[o] == ±0 rows: only ±0 is smaller in magnitude than denorm_min.
+    simd::AxpyRows(weights_.Data().data(), out_size_, in_size_,
+                   grad_output.data(), std::numeric_limits<float>::denorm_min(),
+                   grad_input.data());
   }
 }
 
-void ReluInPlace(std::span<float> x) {
-  for (float& v : x) {
-    if (v < 0.0f) v = 0.0f;
-  }
-}
+void ReluInPlace(std::span<float> x) { simd::ReluInPlace(x.data(), x.size()); }
 
 void ReluBackward(std::span<const float> activations, std::span<float> grad) {
   KELPIE_DCHECK(activations.size() == grad.size());
-  for (size_t i = 0; i < grad.size(); ++i) {
-    if (activations[i] <= 0.0f) grad[i] = 0.0f;
-  }
+  simd::ReluBackward(activations.data(), grad.data(), grad.size());
 }
 
 }  // namespace kelpie

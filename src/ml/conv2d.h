@@ -7,6 +7,7 @@
 
 #include "math/matrix.h"
 #include "math/rng.h"
+#include "math/simd.h"
 
 namespace kelpie {
 
@@ -56,6 +57,8 @@ class Conv2d {
                 std::span<float> grad_input) const;
 
  private:
+  simd::ConvShape Shape() const;
+
   size_t in_h_ = 0, in_w_ = 0;
   size_t kernel_h_ = 0, kernel_w_ = 0;
   size_t out_channels_ = 0;
@@ -95,7 +98,8 @@ class DenseLayer {
   std::vector<float> bias_;  // out_size
 };
 
-/// In-place ReLU; returns nothing, mask recoverable from the activations.
+/// In-place ReLU (x < 0 becomes +0); the mask is recoverable from the
+/// activations.
 void ReluInPlace(std::span<float> x);
 
 /// Backward of ReLU given the *activations* (post-ReLU values): zeroes the

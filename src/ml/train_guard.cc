@@ -81,23 +81,13 @@ size_t MaybeRestoreCheckpoint(const GuardConfig& config,
                               int& recoveries_left) {
   TrainCheckpointer* ckpt = config.checkpointer;
   if (ckpt == nullptr) return 0;
-  std::optional<CheckpointState> state = ckpt->TryRestore();
+  CheckpointShape shape;
+  for (const std::span<float>& span : params) {
+    shape.param_sizes.push_back(span.size());
+  }
+  if (hooks.save_counters) shape.counters = hooks.save_counters().size();
+  std::optional<CheckpointState> state = ckpt->TryRestore(&shape);
   if (!state.has_value()) return 0;
-
-  bool shapes_ok = state->params.size() == params.size();
-  for (size_t i = 0; shapes_ok && i < params.size(); ++i) {
-    shapes_ok = state->params[i].size() == params[i].size();
-  }
-  if (shapes_ok && hooks.save_counters) {
-    shapes_ok = state->counters.size() == hooks.save_counters().size();
-  }
-  if (!shapes_ok) {
-    ckpt->NoteShapeMismatch();
-    KELPIE_LOG(Warning) << "checkpoint " << ckpt->FilePath()
-                        << ": parameter shapes disagree with this model; "
-                        << "restarting training from scratch";
-    return 0;
-  }
 
   for (size_t i = 0; i < params.size(); ++i) {
     std::copy(state->params[i].begin(), state->params[i].end(),

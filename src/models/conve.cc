@@ -1,5 +1,6 @@
 #include "models/conve.h"
 
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 
@@ -27,17 +28,14 @@ void ApplyDropout(std::span<float> values, float p, Rng& rng,
                   std::vector<float>& mask) {
   mask.resize(values.size());
   const float keep_scale = 1.0f / (1.0f - p);
-  for (size_t i = 0; i < values.size(); ++i) {
-    mask[i] = rng.Bernoulli(p) ? 0.0f : keep_scale;
-    values[i] *= mask[i];
+  // `Bernoulli(p) ? 0.0f : keep_scale` without a branch, which would
+  // mispredict on the random draws: +0.0f is all-zero bits.
+  const uint32_t keep_bits = std::bit_cast<uint32_t>(keep_scale);
+  for (float& m : mask) {
+    const uint32_t kept = rng.Bernoulli(p) ? 0u : ~0u;
+    m = std::bit_cast<float>(keep_bits & kept);
   }
-}
-
-/// Backward of dropout: multiplies the gradient by the stored mask.
-void DropoutBackward(std::span<const float> mask, std::span<float> grad) {
-  for (size_t i = 0; i < grad.size(); ++i) {
-    grad[i] *= mask[i];
-  }
+  simd::Mul(values, mask);
 }
 
 }  // namespace
@@ -120,11 +118,12 @@ void ConvE::BackwardMlp(const ForwardCache& cache, std::span<const float> dv,
     std::vector<float> dv_masked, d_conv, d_image;
   };
   thread_local Scratch scratch;
-  // Hidden dropout, then ReLU on v.
+  // Hidden dropout (the backward of a dropout multiplies the gradient by
+  // its stored mask), then ReLU on v.
   std::vector<float>& dv_masked = scratch.dv_masked;
   dv_masked.assign(dv.begin(), dv.end());
   if (cache.has_dropout) {
-    DropoutBackward(cache.v_mask, dv_masked);
+    simd::Mul(dv_masked, cache.v_mask);
   }
   ReluBackward(cache.v, dv_masked);
   // FC backward.
@@ -136,7 +135,7 @@ void ConvE::BackwardMlp(const ForwardCache& cache, std::span<const float> dv,
                d_conv);
   // Feature-map dropout, then ReLU on conv activations.
   if (cache.has_dropout) {
-    DropoutBackward(cache.conv_mask, d_conv);
+    simd::Mul(d_conv, cache.conv_mask);
   }
   ReluBackward(cache.conv_out, d_conv);
   // Conv backward.
@@ -151,7 +150,7 @@ void ConvE::BackwardMlp(const ForwardCache& cache, std::span<const float> dv,
       shared ? std::span<float>(shared->conv_b) : std::span<float>{},
       need_input_grad ? std::span<float>(d_image) : std::span<float>{});
   if (cache.has_dropout && need_input_grad) {
-    DropoutBackward(cache.image_mask, d_image);
+    simd::Mul(d_image, cache.image_mask);
   }
   const size_t rw = image_w();
   const size_t rh = config_.reshape_height;

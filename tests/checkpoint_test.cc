@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "common/budget.h"
 #include "common/crc32c.h"
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "eval/evaluator.h"
 #include "ml/serialization.h"
 #include "models/factory.h"
@@ -316,6 +318,31 @@ class CheckpointCorruptionTest : public CheckpointTest {
     return checkpointer.last_restore_outcome();
   }
 
+  /// kelpie_checkpoint_restore_total increments since `before` (a previous
+  /// RestoreCounts()), by outcome label, zero entries dropped.
+  using Counts = std::map<std::string, uint64_t>;
+  static Counts RestoreCounts() {
+    Counts counts;
+    for (const char* outcome : {"no_file", "restored", "corrupt",
+                                "stale_config", "shape_mismatch"}) {
+      counts[outcome] =
+          metrics::Registry::Global()
+              .GetCounter("kelpie_checkpoint_restore_total",
+                          {{"outcome", outcome}})
+              .Value();
+    }
+    return counts;
+  }
+  static Counts RestoreDeltas(const Counts& before) {
+    Counts deltas;
+    for (const auto& [outcome, value] : RestoreCounts()) {
+      if (value != before.at(outcome)) {
+        deltas[outcome] = value - before.at(outcome);
+      }
+    }
+    return deltas;
+  }
+
   static void Truncate(const std::string& path, size_t new_size) {
     std::filesystem::resize_file(path, new_size);
   }
@@ -452,9 +479,12 @@ TEST_F(CheckpointCorruptionTest, ShapeMismatchDegradesToScratch) {
   TrainControl control;
   control.checkpointer = &checkpointer;
   Rng rng(42);
+  const Counts before = RestoreCounts();
   ASSERT_TRUE(model->Train(*dataset_, rng, control).ok());
   EXPECT_EQ(checkpointer.last_restore_outcome(),
             CheckpointRestoreOutcome::kShapeMismatch);
+  // The rejected restore counts once, as a shape mismatch, not a restore.
+  EXPECT_EQ(RestoreDeltas(before), (Counts{{"shape_mismatch", 1}}));
 
   auto reference = CreateModel(ModelKind::kTransE, *dataset_, narrow);
   Rng ref_rng(42);
@@ -500,9 +530,11 @@ TEST_F(CheckpointCorruptionTest, NonEmptySparseSectionDegradesToScratch) {
             CheckpointRestoreOutcome::kShapeMismatch);
 
   TrainCheckpointer checkpointer({ckpt});
+  const Counts before = RestoreCounts();
   auto resumed = TrainResumed(kind, seed, ckpt, &checkpointer);
   EXPECT_EQ(checkpointer.last_restore_outcome(),
             CheckpointRestoreOutcome::kShapeMismatch);
+  EXPECT_EQ(RestoreDeltas(before), (Counts{{"shape_mismatch", 1}}));
   EXPECT_EQ(ParamsBytes(*resumed), ParamsBytes(*TrainReference(kind, seed)));
 }
 

@@ -1,6 +1,9 @@
 #include "ml/conv2d.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,6 +172,51 @@ TEST(DenseLayerTest, BackwardMatchesFiniteDifferences) {
   }
   for (size_t idx = 0; idx < 3; ++idx) {
     EXPECT_NEAR(gb[idx], coeff[idx], 1e-5);
+  }
+}
+
+TEST(DenseLayerTest, BackwardMatchesPerElementLoopBitForBit) {
+  // The row-wise kernels must reproduce the per-element loop exactly: o
+  // ascending, g[o] == ±0 rows skipped (so -0 accumulators stay -0), each
+  // term a separately rounded multiply then add.
+  Rng rng(8);
+  for (size_t in_size : {1u, 7u, 8u, 13u, 64u, 288u}) {
+    DenseLayer fc(in_size, 11);
+    fc.Init(rng);
+    std::vector<float> input(in_size), g(11);
+    for (float& v : input) v = static_cast<float>(rng.Normal(0.0, 1.0));
+    for (float& v : g) v = static_cast<float>(rng.Normal(0.0, 1.0));
+    g[0] = 0.0f;
+    g[3] = -0.0f;
+    g[4] = std::numeric_limits<float>::denorm_min();
+    g[7] = 0.0f;
+    std::vector<float> gw0(fc.weights().size(), -0.0f), gb0(11, -0.0f),
+        gi0(in_size, -0.0f);
+    for (size_t i = 0; i < gw0.size(); i += 3) gw0[i] = 0.5f;
+
+    std::vector<float> gw = gw0, gb = gb0, gi = gi0;
+    fc.Backward(input, g, gw, gb, gi);
+    std::vector<float> gw_ref = gw0, gb_ref = gb0, gi_ref = gi0;
+    for (size_t o = 0; o < 11; ++o) {
+      if (g[o] == 0.0f) continue;
+      gb_ref[o] += g[o];
+      for (size_t i = 0; i < in_size; ++i) {
+        gw_ref[o * in_size + i] += g[o] * input[i];
+        gi_ref[i] += g[o] * fc.weights().At(o, i);
+      }
+    }
+    auto bits = [](const std::vector<float>& v) {
+      std::vector<uint32_t> out;
+      for (float f : v) out.push_back(std::bit_cast<uint32_t>(f));
+      return out;
+    };
+    EXPECT_EQ(bits(gw), bits(gw_ref)) << "in_size=" << in_size;
+    EXPECT_EQ(bits(gb), bits(gb_ref)) << "in_size=" << in_size;
+    EXPECT_EQ(bits(gi), bits(gi_ref)) << "in_size=" << in_size;
+
+    std::vector<float> gi_only = gi0;
+    fc.Backward(input, g, {}, {}, gi_only);
+    EXPECT_EQ(bits(gi_only), bits(gi_ref)) << "in_size=" << in_size;
   }
 }
 

@@ -16,6 +16,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "math/matrix.h"
@@ -421,6 +422,154 @@ TEST(KernelEquivalenceTest, AxpyRowsMatchesScalarReferenceAndAxpyLoop) {
         ExpectSpansBitEqual(o_simd, o_ref, what + " vs reference");
         ExpectSpansBitEqual(o_simd, o_loop, what + " vs Axpy loop");
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Network kernels (ConvE's conv/ReLU/dropout layers, DESIGN.md §11.5): the
+// vector backends reorder the loops but not any element's float operations,
+// and skip exactly the ±0 gradient terms the reference skips.
+// ---------------------------------------------------------------------------
+
+/// Activations / gradients with signed zeros, negatives, a denormal, a NaN
+/// and ordinary values, salted so neighbouring cases differ.
+std::vector<float> NetVec(size_t n, uint32_t salt, Rng& rng) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> v = RandomVec(n, rng);
+  const float specials[] = {0.0f, -0.0f, -0.5f, 0.0f, denorm, -0.0f, nan,
+                            -2.0f};
+  for (size_t i = 0; i < n; i += 2) {
+    v[i] = specials[(i / 2 + salt) % std::size(specials)];
+  }
+  return v;
+}
+
+TEST(KernelEquivalenceTest, MulAndReluMatchScalarReferenceAllDims) {
+  Rng rng(120);
+  for (size_t n = 0; n <= kMaxDim; ++n) {
+    const std::vector<float> x = NetVec(n, static_cast<uint32_t>(n), rng);
+    const std::vector<float> y = NetVec(n, static_cast<uint32_t>(n + 3), rng);
+    const std::string dim = " n=" + std::to_string(n);
+
+    std::vector<float> m_simd = x, m_ref = x;
+    simd::Mul(m_simd, y);
+    simd::scalar::Mul(m_ref, y);
+    ExpectSpansBitEqual(m_simd, m_ref, "Mul" + dim);
+
+    std::vector<float> r_simd = x, r_ref = x;
+    simd::ReluInPlace(r_simd.data(), n);
+    simd::scalar::ReluInPlace(r_ref.data(), n);
+    ExpectSpansBitEqual(r_simd, r_ref, "ReluInPlace" + dim);
+
+    std::vector<float> g_simd = y, g_ref = y;
+    simd::ReluBackward(x.data(), g_simd.data(), n);
+    simd::scalar::ReluBackward(x.data(), g_ref.data(), n);
+    ExpectSpansBitEqual(g_simd, g_ref, "ReluBackward" + dim);
+  }
+  // The reference's exact special-value semantics: -0 and NaN pass the
+  // forward ReLU unchanged; a NaN activation keeps its gradient.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> v = {-0.0f, nan, -1.0f, 2.0f, 0.0f, -3.0f, 4.0f, -0.0f,
+                          -5.0f};
+  simd::ReluInPlace(v.data(), v.size());
+  EXPECT_EQ(Bits(v[0]), Bits(-0.0f));
+  EXPECT_TRUE(std::isnan(v[1]));
+  EXPECT_EQ(Bits(v[2]), Bits(0.0f));
+  EXPECT_EQ(Bits(v[8]), Bits(0.0f));
+  std::vector<float> act = {nan, -0.0f, 1.0f, -1.0f, nan, 0.0f, 2.0f, 3.0f,
+                            -4.0f};
+  std::vector<float> grad(act.size(), -7.0f);
+  simd::ReluBackward(act.data(), grad.data(), grad.size());
+  EXPECT_EQ(grad[0], -7.0f);
+  EXPECT_EQ(Bits(grad[1]), Bits(0.0f));
+  EXPECT_EQ(grad[2], -7.0f);
+  EXPECT_EQ(Bits(grad[8]), Bits(0.0f));
+}
+
+/// Convolution shapes: kernels 2-5, channel counts below, at and around
+/// both vector widths, images from barely larger than the kernel (the
+/// forward's narrow-image fallback) to wider than one register.
+std::vector<simd::ConvShape> ConvShapes() {
+  std::vector<simd::ConvShape> shapes;
+  for (size_t k = 2; k <= 5; ++k) {
+    for (size_t channels : {1u, 3u, 4u, 5u, 8u, 9u, 13u, 16u}) {
+      for (auto [h, w] : {std::pair<size_t, size_t>{k, k},
+                          {k + 1, k + 2},
+                          {8, 8},
+                          {6, 8},
+                          {7, 11},
+                          {12, 5 + k}}) {
+        if (h < k || w < k) continue;
+        shapes.push_back({h, w, k, k, channels});
+      }
+    }
+    shapes.push_back({9, 10, k, k + 1, 7});  // a non-square kernel
+  }
+  return shapes;
+}
+
+std::string ShapeName(const simd::ConvShape& s) {
+  return std::to_string(s.in_h) + "x" + std::to_string(s.in_w) + " k" +
+         std::to_string(s.kernel_h) + "x" + std::to_string(s.kernel_w) +
+         " c" + std::to_string(s.channels);
+}
+
+TEST(KernelEquivalenceTest, Conv2dForwardMatchesScalarReference) {
+  Rng rng(121);
+  for (const simd::ConvShape& shape : ConvShapes()) {
+    const std::vector<float> input = NetVec(shape.in_h * shape.in_w, 1, rng);
+    const std::vector<float> weights =
+        RandomVec(shape.channels * shape.taps(), rng);
+    const std::vector<float> bias = NetVec(shape.channels, 2, rng);
+    const size_t out = shape.channels * shape.out_h() * shape.out_w();
+    std::vector<float> o_simd(out, 9.0f), o_ref(out, -9.0f);
+    simd::Conv2dForward(shape, input.data(), weights.data(), bias.data(),
+                        o_simd.data());
+    simd::scalar::Conv2dForward(shape, input.data(), weights.data(),
+                                bias.data(), o_ref.data());
+    ExpectSpansBitEqual(o_simd, o_ref, "Conv2dForward " + ShapeName(shape));
+  }
+}
+
+TEST(KernelEquivalenceTest, Conv2dBackwardMatchesScalarReference) {
+  Rng rng(122);
+  for (const simd::ConvShape& shape : ConvShapes()) {
+    const size_t n_in = shape.in_h * shape.in_w;
+    const size_t n_w = shape.channels * shape.taps();
+    const std::vector<float> input = NetVec(n_in, 3, rng);
+    const std::vector<float> weights = RandomVec(n_w, rng);
+    // Half the gradient entries are ±0 (skipped), the rest negative or
+    // positive; the accumulators start with -0 entries, which a skipped
+    // term must leave as -0.
+    std::vector<float> grad_output =
+        NetVec(shape.channels * shape.out_h() * shape.out_w(), 4, rng);
+    for (size_t i = 1; i < grad_output.size(); i += 4) {
+      grad_output[i] = i % 8 == 1 ? 0.0f : -0.0f;
+    }
+    const std::vector<float> gw0 = NetVec(n_w, 5, rng);
+    const std::vector<float> gb0 = NetVec(shape.channels, 6, rng);
+    std::vector<float> gi0(n_in, -0.0f);
+    for (size_t i = 0; i < n_in; i += 3) gi0[i] = 0.25f;
+    for (int outputs = 1; outputs < 8; ++outputs) {
+      const bool want_w = outputs & 1, want_b = outputs & 2,
+                 want_i = outputs & 4;
+      std::vector<float> gw_s = gw0, gb_s = gb0, gi_s = gi0;
+      std::vector<float> gw_r = gw0, gb_r = gb0, gi_r = gi0;
+      simd::Conv2dBackward(shape, input.data(), weights.data(),
+                           grad_output.data(), want_w ? gw_s.data() : nullptr,
+                           want_b ? gb_s.data() : nullptr,
+                           want_i ? gi_s.data() : nullptr);
+      simd::scalar::Conv2dBackward(
+          shape, input.data(), weights.data(), grad_output.data(),
+          want_w ? gw_r.data() : nullptr, want_b ? gb_r.data() : nullptr,
+          want_i ? gi_r.data() : nullptr);
+      const std::string what = "Conv2dBackward " + ShapeName(shape) +
+                               " outputs=" + std::to_string(outputs);
+      ExpectSpansBitEqual(gw_s, gw_r, what + " grad_weights");
+      ExpectSpansBitEqual(gb_s, gb_r, what + " grad_bias");
+      ExpectSpansBitEqual(gi_s, gi_r, what + " grad_input");
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "math/rng.h"
 #include "tests/test_util.h"
@@ -87,6 +88,60 @@ TEST(RankFromScoresTest, MatchesSortBasedReferenceOnRandomVectorsWithTies) {
     EXPECT_EQ(RankFromScores(scores, target, filter),
               SortBasedRank(scores, target, filter))
         << "trial " << trial << " n=" << n << " target=" << target;
+  }
+}
+
+/// Brute-force Equation (2) that consults the filter before the score:
+/// RankFromScores tests the score first, which must not change the rank.
+int FilterFirstRank(std::span<const float> scores, EntityId target,
+                    const std::unordered_set<EntityId>* filtered_out) {
+  const float target_score = scores[static_cast<size_t>(target)];
+  int rank = 0;
+  for (size_t e = 0; e < scores.size(); ++e) {
+    const EntityId id = static_cast<EntityId>(e);
+    if (id != target && filtered_out != nullptr && filtered_out->count(id)) {
+      continue;
+    }
+    if (scores[e] >= target_score) ++rank;
+  }
+  return rank;
+}
+
+TEST(RankFromScoresTest, MatchesFilterFirstBruteForceWithTiesAndNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Filtered ties: entities 1 and 3 tie with the target and are filtered,
+  // entity 4 ties and is kept, entity 0 outscores it and is filtered.
+  std::vector<float> scores{0.9f, 0.5f, 0.5f, 0.5f, 0.5f, 0.1f};
+  std::unordered_set<EntityId> known{0, 1, 3};
+  EXPECT_EQ(RankFromScores(scores, 2, &known), 2);
+  EXPECT_EQ(RankFromScores(scores, 2, &known),
+            FilterFirstRank(scores, 2, &known));
+  // A NaN target: every comparison is false, so the rank is 0 filtered or
+  // not, and NaN candidates never count either.
+  std::vector<float> with_nan{0.3f, nan, nan, 0.7f};
+  EXPECT_EQ(RankFromScores(with_nan, 1, nullptr), 0);
+  EXPECT_EQ(RankFromScores(with_nan, 1, &known), 0);
+  EXPECT_EQ(RankFromScores(with_nan, 0, nullptr), 2);
+
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = 1 + rng.UniformUint64(40);
+    std::vector<float> values(n);
+    for (float& v : values) {
+      v = rng.Bernoulli(0.1) ? nan
+                             : static_cast<float>(rng.UniformUint64(6)) / 2.0f;
+    }
+    std::unordered_set<EntityId> filtered;
+    for (size_t e = 0; e < n; ++e) {
+      if (rng.Bernoulli(0.3)) filtered.insert(static_cast<EntityId>(e));
+    }
+    const EntityId target = static_cast<EntityId>(rng.UniformUint64(n));
+    const std::unordered_set<EntityId>* filters[] = {&filtered, nullptr};
+    for (const auto* filter : filters) {
+      EXPECT_EQ(RankFromScores(values, target, filter),
+                FilterFirstRank(values, target, filter))
+          << "trial " << trial << " n=" << n << " target=" << target;
+    }
   }
 }
 

@@ -48,6 +48,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 
 #include "baselines/explainer.h"
@@ -103,6 +104,14 @@ class Args {
         return;
       }
     }
+    // A flag no command reads is a typo: rejecting it beats running with
+    // the default it was meant to override.
+    for (const auto& [key, value] : values_) {
+      if (!IsSwitch(key) && !IsValueFlag(key)) {
+        error_ = "unknown flag --" + key;
+        return;
+      }
+    }
   }
 
   static bool IsSwitch(const std::string& key) {
@@ -111,6 +120,21 @@ class Args {
            key == "retry-truncated" || key == "json" || key == "demo" ||
            key == "canonical" || key == "warm-mimics" ||
            key == "quant-shortlist";
+  }
+
+  /// Every value flag some command reads.
+  static bool IsValueFlag(const std::string& key) {
+    static const std::set<std::string> kValueFlags = {
+        "cache-bytes", "checkpoint", "checkpoint-interval", "connections",
+        "conversion-set", "data", "dataset", "deadline", "delta", "dim",
+        "dispatchers", "epochs", "file", "grad-clip", "head", "host", "id",
+        "in", "journal", "limit", "max-batch", "max-queue", "max-recoveries",
+        "metrics-out", "model", "model-file", "out", "out-data",
+        "per-prediction-timeout", "pool", "port", "relation",
+        "relevance-cache", "retries", "retry-backoff", "retry-backoff-cap",
+        "retry-seed", "sample", "scale", "scenario", "seed", "tail",
+        "threads", "warm-epochs", "warm-start", "work-budget"};
+    return kValueFlags.count(key) > 0;
   }
 
   const std::string& error() const { return error_; }
